@@ -2,9 +2,12 @@
 
 Every subcommand prints plain text on stdout and returns an exit code:
 0 for success, 1 when a verification check fails, 2 for unusable input
-(bad flags, malformed text, out-of-range sizes).  Sizes above the cap
-in ARCDIAG_MAX_N (default 9) are refused up front because most of the
-commands enumerate all of S_n.
+(bad flags, malformed text, out-of-range sizes).  `delta`, `inverse` and
+`render` take any n >= 1: their work grows polynomially with n.  The
+commands whose work grows with all arcs or all of S_n (`enumerate`,
+`complex`, `export`, `verify`, and `project`, whose congruence spec
+lists all 2^n - n - 1 arcs) refuse sizes above the cap in ARCDIAG_MAX_N
+(default 9) up front; `verify` stops at VERIFY_MAX_N (8) below that.
 """
 from __future__ import annotations
 
@@ -14,7 +17,7 @@ import sys
 
 from .arcs import arc_key
 from .congruences import complex_faces
-from .counting import count_by_arcs, full_arc_set, verify_report
+from .counting import VERIFY_MAX_N, count_by_arcs, full_arc_set, verify_report
 from .diagrams import Diagram, diagram_from_permutation, enumerate_diagrams, permutation_from_diagram
 from .render import export_dot, render_ascii, render_svg
 from .textforms import (
@@ -48,21 +51,26 @@ def _check_n(n: int) -> int:
     return n
 
 
+def _check_positive(n: int) -> int:
+    if n < 1:
+        raise ValueError(f"n must be at least 1, got {n}")
+    return n
+
+
 def _read_diagram(args: argparse.Namespace) -> Diagram:
     text = args.diagram if args.diagram is not None else sys.stdin.read()
     if text.lstrip().startswith("n="):
         diagram = parse_diagram(text)
-        _check_n(diagram.n)
+        _check_positive(diagram.n)
         return diagram
     if args.n is None:
         raise ValueError("a bare diagram body needs --n")
-    _check_n(args.n)
+    _check_positive(args.n)
     return parse_diagram_body(text, args.n)
 
 
 def _cmd_delta(args: argparse.Namespace) -> int:
     x = parse_permutation(args.perm)
-    _check_n(x.n)
     print(format_diagram(diagram_from_permutation(x)))
     return 0
 
@@ -132,7 +140,9 @@ def _cmd_complex(args: argparse.Namespace) -> int:
 
 
 def _cmd_verify(args: argparse.Namespace) -> int:
-    _check_n(args.n_max)
+    limit = min(_max_n(), VERIFY_MAX_N)
+    if not 1 <= args.n_max <= limit:
+        raise ValueError(f"--n-max must be between 1 and {limit}, got {args.n_max}")
     report = verify_report(args.n_max)
     print(report.to_json() if args.json else report.to_text())
     return 0 if report.passed else 1

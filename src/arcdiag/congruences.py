@@ -25,6 +25,7 @@ Named families:
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Iterable, Iterator
 
 from .arcs import (
@@ -55,7 +56,8 @@ class ArcSet:
     Playing the role of the uncontracted arcs of a congruence requires
     subarc closure; that is checked by `is_subarc_closed` at the points
     of use, never at construction, so deliberately broken sets can be
-    built and fed to the negative paths.
+    built and fed to the negative paths.  The check runs once per set,
+    on first use.
     """
 
     n: int
@@ -72,6 +74,11 @@ class ArcSet:
 
     def __contains__(self, alpha: Arc) -> bool:
         return alpha in self.members
+
+    @cached_property
+    def subarc_closed(self) -> bool:
+        members = self.members
+        return all(beta in members for alpha in members for beta in subarcs(alpha))
 
 
 @dataclass(frozen=True)
@@ -101,8 +108,7 @@ def full_arc_set(n: int) -> ArcSet:
 
 def is_subarc_closed(arcset: ArcSet) -> bool:
     """Whether every subarc of a member is again a member."""
-    members = arcset.members
-    return all(beta in members for alpha in members for beta in subarcs(alpha))
+    return arcset.subarc_closed
 
 
 def congruence_from_contracted(n: int, generators: Iterable[Arc]) -> ArcSet:

@@ -15,10 +15,11 @@ minimum label reconstructs the one-line notation.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Callable, Iterable, Iterator
 
-from .arcs import Arc, arc_key, all_arcs, compatible, incompatibility_reason
+from .arcs import Arc, arc_key, all_arcs, incompatibility_reason
 from .perms import Permutation, descents, positions
 
 
@@ -203,6 +204,51 @@ def permutation_from_diagram(diagram: Diagram) -> Permutation:
     return Permutation(tuple(word))
 
 
+def _compat_graph(
+    n: int, keep: Callable[[Arc], bool] | None
+) -> tuple[list[Arc], list[int]]:
+    """The kept arcs in canonical order and their compatibility graph.
+
+    Bit j of the i-th mask is set when j > i and arcs i and j are
+    compatible, so each compatible pair is recorded once.  The rule is
+    that of `incompatibility_reason`: arc i is forced right of arc j by a
+    point on the left of (or an endpoint of) i and on the right of (or an
+    endpoint of) j that is not an endpoint of both, and two arcs clash
+    when they share a lower or an upper endpoint or each is forced right
+    of the other.  Rather than testing pairs, the arcs are gathered per
+    point into masks by the side they pass it on, so each arc's clashes
+    take a few `|` and `&` over the points it spans.
+    """
+    arcs = [alpha for alpha in all_arcs(n) if keep is None or keep(alpha)]
+    lower = [0] * (n + 1)  # arcs with p as lower endpoint
+    upper = [0] * (n + 1)  # arcs with p as upper endpoint
+    on_left = [0] * (n + 1)  # arcs passing interior point p on their left
+    on_right = [0] * (n + 1)
+    for j, alpha in enumerate(arcs):
+        bit = 1 << j
+        lower[alpha.a] |= bit
+        upper[alpha.b] |= bit
+        for p in alpha.right:
+            on_right[p] |= bit
+        for p in alpha.left:
+            on_left[p] |= bit
+
+    everything = (1 << len(arcs)) - 1
+    later = []
+    for i, alpha in enumerate(arcs):
+        a, b = alpha.a, alpha.b
+        # an endpoint of alpha forces only arcs passing it in their interior
+        forced_left_of_alpha = on_right[a] | on_right[b]
+        forced_right_of_alpha = on_left[a] | on_left[b]
+        for p in alpha.left:
+            forced_left_of_alpha |= on_right[p] | lower[p] | upper[p]
+        for p in alpha.right:
+            forced_right_of_alpha |= on_left[p] | lower[p] | upper[p]
+        clash = (forced_left_of_alpha & forced_right_of_alpha) | lower[a] | upper[b]
+        later.append(everything & ~clash & ~((2 << i) - 1))
+    return arcs, later
+
+
 def enumerate_diagrams(
     n: int, keep: Callable[[Arc], bool] | None = None
 ) -> Iterator[Diagram]:
@@ -212,15 +258,7 @@ def enumerate_diagrams(
     at the first incompatible pair, so every emitted set is valid and
     every valid set is emitted exactly once.
     """
-    arcs = [alpha for alpha in all_arcs(n) if keep is None or keep(alpha)]
-    k = len(arcs)
-    compat = [0] * k
-    for i in range(k):
-        for j in range(i + 1, k):
-            if compatible(arcs[i], arcs[j]):
-                compat[i] |= 1 << j
-                compat[j] |= 1 << i
-
+    arcs, later = _compat_graph(n, keep)
     chosen: list[Arc] = []
 
     def walk(allowed: int) -> Iterator[Diagram]:
@@ -230,10 +268,51 @@ def enumerate_diagrams(
             i = (m & -m).bit_length() - 1
             m &= m - 1
             chosen.append(arcs[i])
-            yield from walk(allowed & compat[i] & ~((1 << (i + 1)) - 1))
+            yield from walk(allowed & later[i])
             chosen.pop()
 
-    yield from walk((1 << k) - 1)
+    yield from walk((1 << len(arcs)) - 1)
+
+
+def count_diagrams(n: int, keep: Callable[[Arc], bool] | None = None) -> tuple[int, ...]:
+    """How many diagrams use arcs satisfying `keep`, by arc count k = 0..n-1.
+
+    Nothing is listed.  A diagram is a set of pairwise compatible arcs
+    (the canonical join complex is flag), so it is a clique of the
+    compatibility graph.  Taking its arcs in canonical order, the cliques
+    inside a set S of still allowed arcs are the empty one plus, for each
+    i in S, arc i joined to a clique among the arcs of S after i that are
+    compatible with it.  That count depends on S alone and is memoized on
+    it; the recursion is at most n deep, one level per arc.
+
+    >>> count_diagrams(4)
+    (1, 11, 11, 1)
+    >>> count_diagrams(4, keep=lambda alpha: not alpha.right)
+    (1, 6, 6, 1)
+    """
+    arcs, later = _compat_graph(n, keep)
+    # Each count is a polynomial in x packed into one int, with a slot of
+    # `width` bits per coefficient.  No coefficient exceeds the n! diagrams
+    # on n points, so sums never carry from one slot into the next.
+    width = math.factorial(n).bit_length()
+    packed = _count_cliques((1 << len(arcs)) - 1, later, width, {})
+    slot = (1 << width) - 1
+    return tuple((packed >> (k * width)) & slot for k in range(max(n, 1)))
+
+
+def _count_cliques(allowed: int, later: list[int], width: int, memo: dict[int, int]) -> int:
+    # The memo belongs to one count_diagrams call and no closure refers to
+    # it, so it is freed when that call returns.
+    got = memo.get(allowed)
+    if got is None:
+        below = 0
+        m = allowed
+        while m:
+            low = m & -m
+            m ^= low
+            below += _count_cliques(allowed & later[low.bit_length() - 1], later, width, memo)
+        got = memo[allowed] = 1 + (below << width)
+    return got
 
 
 @dataclass(frozen=True)

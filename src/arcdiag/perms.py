@@ -305,7 +305,8 @@ def join(perms: Iterable[Permutation], n: int | None = None) -> Permutation:
     union = frozenset().union(*(inversions(x).pairs for x in xs))
     closed = transitive_closure(InversionSet(n, union))
     # closing a union of inversion sets cannot break co-transitivity
-    assert _is_cotransitive(n, _below_masks(closed))
+    if not _is_cotransitive(n, _below_masks(closed)):
+        raise ValueError("the closed union of inversion sets is not co-transitive")
     return permutation_from_inversions(closed)
 
 

@@ -1,5 +1,6 @@
 import io
 import json
+import random
 import types
 
 import pytest
@@ -32,7 +33,7 @@ def test_delta_identity_prints_empty_body(capsys):
 
 def test_delta_comma_form(capsys):
     code, out, _ = run(capsys, ["delta", "10,1,2,3,4,5,6,7,8,9"])
-    assert code == 2
+    assert code == 0 and out.splitlines() == ["n=10", "1-10:RRRRRRRR"]
     code, out, _ = run(capsys, ["delta", "2,1,3"])
     assert code == 0 and out.splitlines() == ["n=3", "1-2"]
 
@@ -200,9 +201,9 @@ def test_help_exits_zero(capsys):
 
 def test_size_cap_from_environment(capsys, monkeypatch):
     monkeypatch.setenv("ARCDIAG_MAX_N", "5")
-    code, _, err = run(capsys, ["delta", "123456"])
+    code, _, err = run(capsys, ["enumerate", "--n", "6"])
     assert code == 2 and "ARCDIAG_MAX_N" in err
-    code, out, _ = run(capsys, ["delta", "12345"])
+    code, out, _ = run(capsys, ["enumerate", "--n", "5"])
     assert code == 0
 
 
@@ -214,8 +215,28 @@ def test_size_cap_default_is_nine(capsys, monkeypatch):
 
 def test_size_cap_garbage_value(capsys, monkeypatch):
     monkeypatch.setenv("ARCDIAG_MAX_N", "many")
-    code, _, err = run(capsys, ["delta", "123"])
+    code, _, err = run(capsys, ["enumerate", "--n", "3"])
     assert code == 2 and "integer" in err
+
+
+def test_polynomial_commands_ignore_size_cap(capsys, monkeypatch):
+    monkeypatch.delenv("ARCDIAG_MAX_N", raising=False)
+    entries = list(range(1, 51))
+    random.Random(50).shuffle(entries)
+    word = ",".join(map(str, entries))
+    code, header_form, _ = run(capsys, ["delta", word])
+    assert code == 0 and header_form.startswith("n=50\n")
+    code, out, _ = run(capsys, ["inverse"], stdin=header_form, monkeypatch=monkeypatch)
+    assert code == 0 and out.strip() == word
+    code, out, _ = run(capsys, ["render", "--ascii"], stdin=header_form, monkeypatch=monkeypatch)
+    assert code == 0 and len(out.splitlines()) == 2 * 50 - 1
+
+
+def test_verify_rejects_sizes_past_its_limit(capsys, monkeypatch):
+    monkeypatch.delenv("ARCDIAG_MAX_N", raising=False)
+    code, out, err = run(capsys, ["verify", "--n-max", "9"])
+    assert code == 2 and out == ""
+    assert "between 1 and 8" in err
 
 
 @pytest.mark.parametrize("n", range(1, 7))

@@ -1,16 +1,22 @@
+import itertools
 import json
 import math
+import random
 
 import pytest
 
 from arcdiag import (
     ArcSet,
+    all_arcs,
     all_permutations,
     arc_stats,
     baxter_number,
     catalan,
+    compatible,
+    congruence_from_contracted,
     count_by_arcs,
     descents,
+    enumerate_diagrams,
     eulerian,
     full_arc_set,
     make_arc,
@@ -21,6 +27,7 @@ from arcdiag import (
     verify_report,
 )
 from arcdiag.counting import ALTERNATING_EVEN
+from arcdiag.diagrams import _compat_graph
 
 
 def test_catalan_values():
@@ -131,3 +138,65 @@ def test_arc_stats_drive_zero_inflection_count():
     u = full_arc_set(4)
     zero = [alpha for alpha in u.members if arc_stats(alpha).inflections == 0]
     assert frozenset(zero) == named_congruence(4, "baxter").members
+
+
+def listed_row(n, arcset):
+    """The oracle: list every diagram inside arcset and tally arc counts."""
+    row = [0] * n
+    for diagram in enumerate_diagrams(n, keep=lambda alpha: alpha in arcset.members):
+        row[len(diagram.arcs)] += 1
+    return tuple(row)
+
+
+@pytest.mark.parametrize("n", range(1, 9))
+def test_mask_graph_matches_pairwise_compatible(n):
+    arcs, later = _compat_graph(n, None)
+    assert arcs == all_arcs(n)
+    for i, j in itertools.product(range(len(arcs)), repeat=2):
+        expected = i < j and compatible(arcs[i], arcs[j])
+        assert bool(later[i] >> j & 1) == expected, (arcs[i], arcs[j])
+
+
+@pytest.mark.parametrize("n", range(1, 9))
+def test_count_matches_listing_full_set(n):
+    u = full_arc_set(n)
+    assert count_by_arcs(n, u).counts == listed_row(n, u)
+
+
+FAMILIES = [
+    ("tamari", {}),
+    ("baxter", {}),
+    ("cambrian", {"orientation": "LRRLRLLR"}),
+    ("clumped", {"k": 0}),
+    ("clumped", {"k": 1}),
+    ("clumped", {"k": 2}),
+    ("maxlen", {"k": 2}),
+    ("maxlen", {"k": 3}),
+    ("maxlen", {"k": 5}),
+]
+
+
+@pytest.mark.parametrize("n", [5, 8])
+@pytest.mark.parametrize("name,kwargs", FAMILIES)
+def test_count_matches_listing_named_families(n, name, kwargs):
+    if "orientation" in kwargs:
+        kwargs = {"orientation": kwargs["orientation"][:n]}
+    u = named_congruence(n, name, **kwargs)
+    assert count_by_arcs(n, u).counts == listed_row(n, u)
+
+
+@pytest.mark.parametrize("n", [4, 6, 7, 8])
+def test_count_matches_listing_random_congruences(n):
+    rng = random.Random(1000 + n)
+    arcs = all_arcs(n)
+    for _ in range(4):
+        u = congruence_from_contracted(n, rng.sample(arcs, rng.randint(1, 4)))
+        assert count_by_arcs(n, u).counts == listed_row(n, u)
+
+
+def test_counts_past_listing_sizes():
+    assert count_by_arcs(10, full_arc_set(10)).counts == tuple(eulerian(10, k) for k in range(10))
+    tamari = count_by_arcs(12, named_congruence(12, "tamari"))
+    assert tamari.counts == tuple(narayana(12, k) for k in range(1, 13))
+    assert tamari.total == catalan(12) == 208012
+    assert count_by_arcs(11, named_congruence(11, "baxter")).total == baxter_number(11) == 1882960
