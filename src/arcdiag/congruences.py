@@ -33,12 +33,11 @@ from .arcs import (
     all_arcs,
     arc_key,
     arc_stats,
-    is_subarc,
     ji_from_arc,
     proper_subarcs,
     subarcs,
 )
-from .diagrams import Diagram, diagram_from_permutation, enumerate_diagrams
+from .diagrams import diagram_from_permutation, enumerate_diagrams
 from .perms import (
     Permutation,
     all_permutations,
@@ -81,26 +80,6 @@ class ArcSet:
         return all(beta in members for alpha in members for beta in subarcs(alpha))
 
 
-@dataclass(frozen=True)
-class PatternTriple:
-    """A forbidden descent shape (b, a, R) with R inside (a, b)."""
-
-    b: int
-    a: int
-    right: frozenset[int]
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "right", frozenset(self.right))
-        if not 1 <= self.a < self.b:
-            raise ValueError(f"need a < b, got a={self.a} b={self.b}")
-        if not self.right <= set(range(self.a + 1, self.b)):
-            raise ValueError(f"right side {sorted(self.right)} outside ({self.a}, {self.b})")
-
-    @property
-    def left(self) -> frozenset[int]:
-        return frozenset(range(self.a + 1, self.b)) - self.right
-
-
 def full_arc_set(n: int) -> ArcSet:
     """Every arc on n points; the trivial congruence contracting nothing."""
     return ArcSet(n, frozenset(all_arcs(n)))
@@ -109,6 +88,14 @@ def full_arc_set(n: int) -> ArcSet:
 def is_subarc_closed(arcset: ArcSet) -> bool:
     """Whether every subarc of a member is again a member."""
     return arcset.subarc_closed
+
+
+def _require_congruence(n: int, arcset: ArcSet) -> None:
+    """Raise unless `arcset` lives on n points and is closed under subarcs."""
+    if arcset.n != n:
+        raise ValueError(f"arc set lives on {arcset.n} points, not {n}")
+    if not is_subarc_closed(arcset):
+        raise ValueError("arc set is not closed under subarcs")
 
 
 def congruence_from_contracted(n: int, generators: Iterable[Arc]) -> ArcSet:
@@ -147,36 +134,28 @@ def minimal_contracted_generators(n: int, arcset: ArcSet) -> tuple[Arc, ...]:
     )
 
 
-def pattern_of_arc(alpha: Arc) -> PatternTriple:
-    return PatternTriple(b=alpha.b, a=alpha.a, right=alpha.right)
-
-
-def has_pattern(x: Permutation, triple: PatternTriple) -> bool:
-    """Whether x contains the descent pattern (b, a, R).
+def has_pattern(x: Permutation, alpha: Arc) -> bool:
+    """Whether x contains the descent pattern that the arc alpha forbids.
 
     A witness is a descent x_i >= b, x_{i+1} <= a with every left value
-    of the triple before position i and every right value after i+1.
+    of alpha before position i and every right value after i+1.  The arc
+    may live on fewer points than x.
 
-    >>> has_pattern(Permutation((3, 1, 2)), PatternTriple(3, 1, frozenset({2})))
+    >>> has_pattern(Permutation((3, 1, 2)), Arc(3, 1, 3, frozenset({2})))
     True
-    >>> has_pattern(Permutation((2, 3, 1)), PatternTriple(3, 1, frozenset({2})))
+    >>> has_pattern(Permutation((2, 3, 1)), Arc(3, 1, 3, frozenset({2})))
     False
     """
-    if triple.b > x.n:
-        raise ValueError(f"pattern endpoint {triple.b} exceeds n={x.n}")
+    if alpha.b > x.n:
+        raise ValueError(f"pattern endpoint {alpha.b} exceeds n={x.n}")
     pos = positions(x)
-    left = triple.left
+    left = alpha.left
     for i in descents(x):
-        if x.entries[i - 1] < triple.b or x.entries[i] > triple.a:
+        if x.entries[i - 1] < alpha.b or x.entries[i] > alpha.a:
             continue
-        if all(pos[v - 1] < i for v in left) and all(pos[v - 1] > i + 1 for v in triple.right):
+        if all(pos[v - 1] < i for v in left) and all(pos[v - 1] > i + 1 for v in alpha.right):
             return True
     return False
-
-
-def _require_closed(arcset: ArcSet) -> None:
-    if not is_subarc_closed(arcset):
-        raise ValueError("arc set is not closed under subarcs")
 
 
 def uncontracted_permutations(n: int, arcset: ArcSet) -> Iterator[Permutation]:
@@ -186,9 +165,7 @@ def uncontracted_permutations(n: int, arcset: ArcSet) -> Iterator[Permutation]:
     >>> [str(x) for x in uncontracted_permutations(3, U)]
     ['123', '132', '213', '231', '321']
     """
-    if arcset.n != n:
-        raise ValueError(f"arc set lives on {arcset.n} points, not {n}")
-    _require_closed(arcset)
+    _require_congruence(n, arcset)
     members = arcset.members
     for x in all_permutations(n):
         if diagram_from_permutation(x).arcs <= members:
@@ -197,12 +174,10 @@ def uncontracted_permutations(n: int, arcset: ArcSet) -> Iterator[Permutation]:
 
 def uncontracted_by_avoidance(n: int, arcset: ArcSet) -> Iterator[Permutation]:
     """The same set recognized by avoiding the minimal forbidden patterns."""
-    if arcset.n != n:
-        raise ValueError(f"arc set lives on {arcset.n} points, not {n}")
-    _require_closed(arcset)
-    triples = [pattern_of_arc(g) for g in minimal_contracted_generators(n, arcset)]
+    _require_congruence(n, arcset)
+    patterns = minimal_contracted_generators(n, arcset)
     for x in all_permutations(n):
-        if not any(has_pattern(x, t) for t in triples):
+        if not any(has_pattern(x, g) for g in patterns):
             yield x
 
 
@@ -216,9 +191,7 @@ def project_down(x: Permutation, arcset: ArcSet) -> Permutation:
     >>> str(project_down(Permutation((3, 1, 2)), U))
     '132'
     """
-    if arcset.n != x.n:
-        raise ValueError(f"arc set lives on {arcset.n} points, not {x.n}")
-    _require_closed(arcset)
+    _require_congruence(x.n, arcset)
     inv = inversions(x).pairs
     joinands = [
         ji
@@ -290,8 +263,6 @@ def complex_faces(n: int, arcset: ArcSet) -> Iterator[frozenset[Arc]]:
     The faces are exactly the diagrams drawn from the uncontracted arcs;
     the complex is flag, so pairwise compatibility is all that is pruned.
     """
-    if arcset.n != n:
-        raise ValueError(f"arc set lives on {arcset.n} points, not {n}")
-    _require_closed(arcset)
+    _require_congruence(n, arcset)
     for diagram in enumerate_diagrams(n, keep=lambda alpha: alpha in arcset.members):
         yield frozenset(diagram.arcs)

@@ -14,9 +14,9 @@ from dataclasses import dataclass
 from functools import lru_cache
 from typing import Mapping
 
-from .arcs import arc_stats
 from .congruences import (
     ArcSet,
+    _require_congruence,
     full_arc_set,
     is_subarc_closed,
     named_congruence,
@@ -102,19 +102,6 @@ def prodmin(n: int, k: int) -> int:
     return out
 
 
-def sequence_value(kind: str, n: int, k: int | None = None) -> int:
-    """Uniform access to the named sequences; `k` where the kind needs it."""
-    if kind == "catalan":
-        return catalan(n)
-    if kind == "baxter":
-        return baxter_number(n)
-    if kind in ("narayana", "eulerian", "prodmin"):
-        if k is None:
-            raise ValueError(f"{kind} needs k")
-        return {"narayana": narayana, "eulerian": eulerian, "prodmin": prodmin}[kind](n, k)
-    raise ValueError(f"unknown sequence kind {kind!r}")
-
-
 @dataclass(frozen=True)
 class CountTable:
     """Diagram counts split by number of arcs, k = 0..n-1."""
@@ -130,10 +117,7 @@ class CountTable:
 
 def count_by_arcs(n: int, arcset: ArcSet, label: str = "arcs") -> CountTable:
     """Count the diagrams inside `arcset`, split by arc count."""
-    if arcset.n != n:
-        raise ValueError(f"arc set lives on {arcset.n} points, not {n}")
-    if not is_subarc_closed(arcset):
-        raise ValueError("arc set is not closed under subarcs")
+    _require_congruence(n, arcset)
     counts = count_diagrams(n, keep=lambda alpha: alpha in arcset.members)
     return CountTable(n=n, label=label, counts=counts)
 

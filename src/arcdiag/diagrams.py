@@ -138,14 +138,15 @@ def deletion_stages(diagram: Diagram) -> list[tuple[int, ...]]:
 
     At every stage the components not right of any remaining component
     occupy disjoint label intervals; the one with the smallest minimum
-    is deleted.  Both facts are checked, so inputs that cannot be drawn
-    fail loudly instead of producing a wrong permutation.
+    is deleted.  Inputs that cannot be drawn fail loudly instead of
+    producing a wrong permutation: the stages must spell a permutation
+    whose diagram is the input, which holds exactly for valid diagrams
+    since `diagram_from_permutation` is a bijection onto them.
 
     >>> from .textforms import parse_diagram
     >>> deletion_stages(parse_diagram("n=8\\n1-3:R;2-5:LL;3-7:LRL"))
     [(4,), (6,), (7, 3, 1), (5, 2), (8,)]
     """
-    validate_diagram(diagram.n, diagram.arcs)
     comps = _components(diagram)
     k = len(comps)
     # components never share points, so witness points are never endpoints
@@ -188,6 +189,9 @@ def deletion_stages(diagram: Diagram) -> list[tuple[int, ...]]:
         pick = min(lefts, key=lambda i: comps[i].lo)
         order.append(comps[pick].points_desc)
         remaining.remove(pick)
+    word = tuple(p for run in order for p in run)
+    if diagram_from_permutation(Permutation(word)) != diagram:
+        raise ValueError(f"{diagram!r} is not a noncrossing arc diagram")
     return order
 
 

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .arcs import Arc, arc_key, all_arcs, forces_right_of, is_subarc
+from .arcs import Arc, arc_key, all_arcs, forces_right_of, proper_subarcs
 from .congruences import ArcSet
 from .diagrams import Diagram
 from .perms import Permutation, all_permutations, inversions, upper_covers
@@ -163,20 +163,6 @@ def render_svg(diagram: Diagram, style: RenderStyle = DEFAULT_STYLE) -> str:
     return "\n".join(lines)
 
 
-def _forcing_covers(n: int) -> list[tuple[Arc, Arc]]:
-    arcs = sorted(all_arcs(n), key=arc_key)
-    ups: dict[Arc, list[Arc]] = {
-        alpha: [beta for beta in arcs if alpha != beta and is_subarc(alpha, beta)]
-        for alpha in arcs
-    }
-    covers = []
-    for alpha in arcs:
-        for beta in ups[alpha]:
-            if not any(beta in ups[gamma] for gamma in ups[alpha] if gamma != beta):
-                covers.append((alpha, beta))
-    return covers
-
-
 def _weak_covers(elements: list[Permutation]) -> list[tuple[Permutation, Permutation]]:
     pairs_of = {x: inversions(x).pairs for x in elements}
     by_size = sorted(elements, key=lambda x: (len(pairs_of[x]), x.entries))
@@ -206,7 +192,18 @@ def export_dot(kind: str, n: int, arcset: ArcSet | None = None) -> str:
         arcs = sorted(all_arcs(n), key=arc_key)
         lines = ["digraph forcing {", "  rankdir=BT;"]
         lines.extend(f'  "{alpha}";' for alpha in arcs)
-        lines.extend(f'  "{alpha}" -> "{beta}";' for alpha, beta in _forcing_covers(n))
+        # alpha is covered by beta in the subarc order exactly when it is
+        # a subarc one shorter; each arc of length >= 2 covers two
+        covers = sorted(
+            (
+                (alpha, beta)
+                for beta in arcs
+                for alpha in proper_subarcs(beta)
+                if beta.b - beta.a == alpha.b - alpha.a + 1
+            ),
+            key=lambda e: (arc_key(e[0]), arc_key(e[1])),
+        )
+        lines.extend(f'  "{alpha}" -> "{beta}";' for alpha, beta in covers)
     elif kind == "weak":
         if arcset is None:
             elements = list(all_permutations(n))

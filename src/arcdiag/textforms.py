@@ -7,7 +7,7 @@ the byte offset of the offending character.
 """
 from __future__ import annotations
 
-from .arcs import Arc, arc_key
+from .arcs import Arc
 from .congruences import ArcSet, named_congruence
 from .diagrams import Diagram, validate_diagram
 from .perms import Permutation
@@ -105,7 +105,7 @@ def format_diagram(diagram: Diagram) -> str:
     return f"n={diagram.n}\n{format_diagram_body(diagram)}"
 
 
-def _parse_header(lines: list[str], text: str) -> int:
+def _parse_header(lines: list[str]) -> int:
     if not lines or not lines[0].startswith("n="):
         raise ParseError("expected a header line n=<N>", 0)
     rest = lines[0][2:]
@@ -132,7 +132,7 @@ def parse_diagram(text: str) -> Diagram:
     '1-3:R;2-5:LL;3-7:LRL'
     """
     lines = text.split("\n")
-    n = _parse_header(lines, text)
+    n = _parse_header(lines)
     body = lines[1] if len(lines) > 1 else ""
     offset = len(lines[0]) + 1
     for extra in lines[2:]:
@@ -150,7 +150,7 @@ def format_arcset(arcset: ArcSet) -> str:
 def parse_arcset(text: str) -> ArcSet:
     """Header line n=<N>, then one arc per line."""
     lines = text.split("\n")
-    n = _parse_header(lines, text)
+    n = _parse_header(lines)
     offset = len(lines[0]) + 1
     members = []
     for line in lines[1:]:

@@ -5,6 +5,7 @@ import pytest
 
 from arcdiag import (
     ArcSet,
+    Permutation,
     all_arcs,
     all_permutations,
     catalan,
@@ -21,7 +22,6 @@ from arcdiag import (
     minimal_contracted_generators,
     named_congruence,
     narayana,
-    pattern_of_arc,
     project_down,
     uncontracted_by_avoidance,
     uncontracted_permutations,
@@ -68,16 +68,8 @@ def test_minimal_generators_regenerate(n):
             assert not is_subarc(g, h)
 
 
-def test_pattern_of_arc_examples():
-    t = pattern_of_arc(make_arc(3, 1, 3, {2}))
-    assert (t.b, t.a, t.right) == (3, 1, frozenset({2}))
-    assert t.left == frozenset()
-
-
 def test_has_pattern_examples():
-    from arcdiag import Permutation
-
-    t = pattern_of_arc(make_arc(3, 1, 3, {2}))
+    t = make_arc(3, 1, 3, {2})
     assert has_pattern(Permutation((3, 1, 2)), t)
     assert not has_pattern(Permutation((2, 3, 1)), t)
     # embedded occurrence inside a longer word
@@ -243,6 +235,26 @@ def test_complex_faces_tamari_n3():
 def test_complex_face_counts(n):
     assert sum(1 for _ in complex_faces(n, full_arc_set(n))) == len(list(all_permutations(n)))
     assert sum(1 for _ in complex_faces(n, named_congruence(n, "tamari"))) == catalan(n)
+
+
+PRECONDITION_ENTRY_POINTS = {
+    "uncontracted_permutations": lambda n, u: list(uncontracted_permutations(n, u)),
+    "uncontracted_by_avoidance": lambda n, u: list(uncontracted_by_avoidance(n, u)),
+    "project_down": lambda n, u: project_down(Permutation(tuple(range(n, 0, -1))), u),
+    "complex_faces": lambda n, u: list(complex_faces(n, u)),
+    "count_by_arcs": count_by_arcs,
+}
+
+
+@pytest.mark.parametrize("entry", sorted(PRECONDITION_ENTRY_POINTS))
+def test_congruence_preconditions(entry):
+    call = PRECONDITION_ENTRY_POINTS[entry]
+    with pytest.raises(ValueError, match="points, not"):
+        call(4, named_congruence(3, "tamari"))
+    u = named_congruence(4, "tamari")
+    broken = ArcSet(4, u.members - {make_arc(4, 1, 2, frozenset())})
+    with pytest.raises(ValueError, match="not closed"):
+        call(4, broken)
 
 
 def test_complex_rejects_unclosed_sets():

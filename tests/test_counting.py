@@ -23,7 +23,6 @@ from arcdiag import (
     named_congruence,
     narayana,
     prodmin,
-    sequence_value,
     verify_report,
 )
 from arcdiag.counting import ALTERNATING_EVEN
@@ -60,16 +59,6 @@ def test_prodmin():
     assert prodmin(4, 1) == 1
     for n in range(1, 9):
         assert prodmin(n, n) == math.factorial(n)
-
-
-def test_sequence_value_dispatch():
-    assert sequence_value("catalan", 5) == 42
-    assert sequence_value("narayana", 4, k=2) == 6
-    assert sequence_value("eulerian", 4, k=1) == 11
-    assert sequence_value("baxter", 4) == 22
-    assert sequence_value("prodmin", 5, k=3) == 54
-    with pytest.raises(ValueError):
-        sequence_value("fibonacci", 4)
 
 
 def test_alternating_constants_match_brute_force():

@@ -139,6 +139,22 @@ def test_corrupt_diagram_fails_loudly():
         permutation_from_diagram(bad)
 
 
+@pytest.mark.parametrize("n", range(3, 7))
+def test_inverse_rejects_exactly_the_incompatible_sets(n):
+    rng = random.Random(6000 + n)
+    arcs = all_arcs(n)
+    for _ in range(400):
+        sub = rng.sample(arcs, rng.randint(1, min(n, len(arcs))))
+        valid = all(compatible(a, b) for a, b in itertools.combinations(sub, 2))
+        d = Diagram(n, frozenset(sub))
+        for inverse in (deletion_stages, permutation_from_diagram):
+            if valid:
+                inverse(d)
+            else:
+                with pytest.raises(ValueError):
+                    inverse(d)
+
+
 def test_classify_diagram():
     d = validate_diagram(4, [make_arc(4, 1, 2, frozenset()), make_arc(4, 3, 4, frozenset())])
     c = classify_diagram(d)

@@ -1,5 +1,6 @@
 import itertools
 import re
+from collections import Counter
 
 import pytest
 from hypothesis import given, settings
@@ -177,8 +178,9 @@ def test_export_forcing_n4_has_eleven_nodes():
     assert dot.rstrip().endswith("}")
 
 
-def test_export_forcing_matches_reduction():
-    arcs = all_arcs(5)
+@pytest.mark.parametrize("n", range(3, 8))
+def test_export_forcing_matches_reduction(n):
+    arcs = all_arcs(n)
     strictly_under = {
         beta: {alpha for alpha in arcs if alpha != beta and is_subarc(alpha, beta)}
         for beta in arcs
@@ -188,9 +190,18 @@ def test_export_forcing_matches_reduction():
         for alpha in unders:
             if not any(alpha in strictly_under[gamma] for gamma in unders):
                 expected.add((str(alpha), str(beta)))
-    dot = export_dot("forcing", 5)
+    dot = export_dot("forcing", n)
     edges = set(re.findall(r'^  "([^"]+)" -> "([^"]+)";$', dot, re.M))
     assert edges == expected
+
+
+def test_export_forcing_n9_two_covers_into_each_long_arc():
+    dot = export_dot("forcing", 9)
+    edges = re.findall(r'^  "([^"]+)" -> "([^"]+)";$', dot, re.M)
+    assert len(edges) == len(set(edges)) == 988
+    into = Counter(beta for _, beta in edges)
+    long_arcs = {str(alpha) for alpha in all_arcs(9) if alpha.b - alpha.a >= 2}
+    assert into == dict.fromkeys(long_arcs, 2)
 
 
 def test_export_forcing_n2_trivial():
