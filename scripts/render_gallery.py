@@ -17,7 +17,6 @@ from arcdiag import (
     enumerate_diagrams,
     format_diagram_body,
     format_permutation,
-    full_arc_set,
     permutation_from_diagram,
     render_ascii,
     render_svg,
@@ -34,13 +33,9 @@ class GalleryConfig:
 
 
 def run(config: GalleryConfig) -> None:
-    arcset = (
-        parse_congruence_spec(config.congruence, config.n)
-        if config.congruence
-        else full_arc_set(config.n)
-    )
+    arcset = parse_congruence_spec(config.congruence, config.n) if config.congruence else None
     diagrams = sorted(
-        enumerate_diagrams(config.n, keep=lambda alpha: alpha in arcset.members),
+        enumerate_diagrams(config.n, arcset),
         key=lambda d: permutation_from_diagram(d).entries,
     )
     if config.ascii_mode:

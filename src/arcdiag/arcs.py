@@ -14,6 +14,7 @@ a finite check on shared endpoints and side-forcing witness points.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Iterable, Iterator
 
 from .perms import Permutation, descents
@@ -69,6 +70,42 @@ def side_string(alpha: Arc) -> str:
 def arc_key(alpha: Arc) -> tuple[int, int, str]:
     """Canonical sort key: ascending (a, b, side string)."""
     return (alpha.a, alpha.b, side_string(alpha))
+
+
+@dataclass(frozen=True)
+class ArcSet:
+    """A set of arcs on n points: a diagram, or the uncontracted arcs of a congruence.
+
+    Only the size is checked here, so broken sets can be built for the
+    negative paths.  `diagrams.validate_diagram` checks a diagram's arcs;
+    congruences check subarc closure where they use a set, once per set.
+    """
+
+    n: int
+    arcs: frozenset[Arc]
+
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "arcs", frozenset(self.arcs))
+        for alpha in self.arcs:
+            if alpha.n != self.n:
+                raise ValueError(f"arc {alpha!r} does not live on {self.n} points")
+
+    def sorted_arcs(self) -> tuple[Arc, ...]:
+        return tuple(sorted(self.arcs, key=arc_key))
+
+    def __contains__(self, alpha: Arc) -> bool:
+        return alpha in self.arcs
+
+    def __str__(self) -> str:
+        return ";".join(str(alpha) for alpha in self.sorted_arcs())
+
+    def __repr__(self) -> str:
+        return f"ArcSet({self.n}, {str(self)!r})"
+
+    @cached_property
+    def subarc_closed(self) -> bool:
+        arcs = self.arcs
+        return all(beta in arcs for alpha in arcs for beta in subarcs(alpha))
 
 
 def all_arcs(n: int) -> list[Arc]:

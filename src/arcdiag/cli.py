@@ -91,7 +91,7 @@ def _cmd_enumerate(args: argparse.Namespace) -> int:
         print(f"total {table.total}")
         return 0
     total = 0
-    for diagram in enumerate_diagrams(n, keep=lambda alpha: alpha in arcset.members):
+    for diagram in enumerate_diagrams(n, arcset):
         print(format_diagram_body(diagram))
         total += 1
     print(f"total {total}")

@@ -24,12 +24,11 @@ Named families:
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
-from functools import cached_property
 from typing import Iterable, Iterator
 
 from .arcs import (
     Arc,
+    ArcSet,
     all_arcs,
     arc_key,
     arc_stats,
@@ -46,38 +45,6 @@ from .perms import (
     join,
     positions,
 )
-
-
-@dataclass(frozen=True)
-class ArcSet:
-    """A plain set of arcs on n points.
-
-    Playing the role of the uncontracted arcs of a congruence requires
-    subarc closure; that is checked by `is_subarc_closed` at the points
-    of use, never at construction, so deliberately broken sets can be
-    built and fed to the negative paths.  The check runs once per set,
-    on first use.
-    """
-
-    n: int
-    members: frozenset[Arc]
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "members", frozenset(self.members))
-        for alpha in self.members:
-            if alpha.n != self.n:
-                raise ValueError(f"arc {alpha!r} does not live on {self.n} points")
-
-    def sorted_members(self) -> tuple[Arc, ...]:
-        return tuple(sorted(self.members, key=arc_key))
-
-    def __contains__(self, alpha: Arc) -> bool:
-        return alpha in self.members
-
-    @cached_property
-    def subarc_closed(self) -> bool:
-        members = self.members
-        return all(beta in members for alpha in members for beta in subarcs(alpha))
 
 
 def full_arc_set(n: int) -> ArcSet:
@@ -104,8 +71,8 @@ def congruence_from_contracted(n: int, generators: Iterable[Arc]) -> ArcSet:
     An arc survives exactly when none of the generators is a subarc of it.
 
     >>> gens = [alpha for alpha in all_arcs(3) if alpha.right and alpha.b - alpha.a == 2]
-    >>> sorted(str(alpha) for alpha in congruence_from_contracted(3, gens).members)
-    ['1-2', '1-3:L', '2-3']
+    >>> str(congruence_from_contracted(3, gens))
+    '1-2;1-3:L;2-3'
     """
     gen_set = frozenset(generators)
     for g in gen_set:
@@ -121,7 +88,7 @@ def congruence_from_contracted(n: int, generators: Iterable[Arc]) -> ArcSet:
 
 def minimal_contracted_generators(n: int, arcset: ArcSet) -> tuple[Arc, ...]:
     """Subarc-minimal elements of the complement of `arcset`, canonical order."""
-    contracted = frozenset(all_arcs(n)) - arcset.members
+    contracted = frozenset(all_arcs(n)) - arcset.arcs
     return tuple(
         sorted(
             (
@@ -166,9 +133,9 @@ def uncontracted_permutations(n: int, arcset: ArcSet) -> Iterator[Permutation]:
     ['123', '132', '213', '231', '321']
     """
     _require_congruence(n, arcset)
-    members = arcset.members
+    arcs = arcset.arcs
     for x in all_permutations(n):
-        if diagram_from_permutation(x).arcs <= members:
+        if diagram_from_permutation(x).arcs <= arcs:
             yield x
 
 
@@ -195,7 +162,7 @@ def project_down(x: Permutation, arcset: ArcSet) -> Permutation:
     inv = inversions(x).pairs
     joinands = [
         ji
-        for ji in (ji_from_arc(alpha) for alpha in arcset.sorted_members())
+        for ji in (ji_from_arc(alpha) for alpha in arcset.sorted_arcs())
         if inversions(ji).pairs <= inv
     ]
     return join(joinands, n=x.n)
@@ -214,8 +181,8 @@ def named_congruence(
     and every point tagged L stays on its right.  ``clumped`` and
     ``maxlen`` need the bound `k`.
 
-    >>> sorted(str(a) for a in named_congruence(3, "tamari").members)
-    ['1-2', '1-3:L', '2-3']
+    >>> str(named_congruence(3, "tamari"))
+    '1-2;1-3:L;2-3'
     >>> named_congruence(3, "cambrian", orientation="RRR") == named_congruence(3, "tamari")
     True
     """
@@ -264,5 +231,5 @@ def complex_faces(n: int, arcset: ArcSet) -> Iterator[frozenset[Arc]]:
     the complex is flag, so pairwise compatibility is all that is pruned.
     """
     _require_congruence(n, arcset)
-    for diagram in enumerate_diagrams(n, keep=lambda alpha: alpha in arcset.members):
-        yield frozenset(diagram.arcs)
+    for diagram in enumerate_diagrams(n, arcset):
+        yield diagram.arcs

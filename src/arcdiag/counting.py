@@ -14,8 +14,8 @@ from dataclasses import dataclass
 from functools import lru_cache
 from typing import Mapping
 
+from .arcs import ArcSet
 from .congruences import (
-    ArcSet,
     _require_congruence,
     full_arc_set,
     is_subarc_closed,
@@ -118,7 +118,7 @@ class CountTable:
 def count_by_arcs(n: int, arcset: ArcSet, label: str = "arcs") -> CountTable:
     """Count the diagrams inside `arcset`, split by arc count."""
     _require_congruence(n, arcset)
-    counts = count_diagrams(n, keep=lambda alpha: alpha in arcset.members)
+    counts = count_diagrams(n, arcset)
     return CountTable(n=n, label=label, counts=counts)
 
 
@@ -215,7 +215,8 @@ def verify_report(
         add("distinct-diagrams", n, math.factorial(n), len(diagrams))
         add("round-trip-mismatches", n, 0, mismatches)
 
-        left = count_by_arcs(n, named_congruence(n, "tamari"), label="tamari")
+        tamari = named_congruence(n, "tamari")
+        left = count_by_arcs(n, tamari, label="tamari")
         add("left-arc-total", n, catalan(n), left.total)
         add("left-arc-row", n, tuple(narayana(n, k + 1) for k in range(n)), left.counts)
 
@@ -238,7 +239,7 @@ def verify_report(
         if n % 2 == 0:
             left_perfect = sum(
                 1
-                for face in enumerate_diagrams(n, keep=lambda alpha: not alpha.right)
+                for face in enumerate_diagrams(n, tamari)
                 if classify_diagram(face).is_perfect_matching
             )
             add("left-perfect-matching-count", n, catalan(n // 2), left_perfect)

@@ -17,33 +17,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Iterable, Iterator
+from typing import Iterable, Iterator
 
-from .arcs import Arc, arc_key, all_arcs, incompatibility_reason
+from .arcs import Arc, ArcSet, arc_key, all_arcs, incompatibility_reason
 from .perms import Permutation, descents, positions
 
 
-@dataclass(frozen=True)
-class Diagram:
-    """A set of arcs on n points; `validate_diagram` is the checked gate."""
-
-    n: int
-    arcs: frozenset[Arc]
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "arcs", frozenset(self.arcs))
-        for alpha in self.arcs:
-            if alpha.n != self.n:
-                raise ValueError(f"arc {alpha!r} does not live on {self.n} points")
-
-    def sorted_arcs(self) -> tuple[Arc, ...]:
-        return tuple(sorted(self.arcs, key=arc_key))
-
-    def __str__(self) -> str:
-        return ";".join(str(alpha) for alpha in self.sorted_arcs())
-
-    def __repr__(self) -> str:
-        return f"Diagram({self.n}, {str(self)!r})"
+Diagram = ArcSet  # with pairwise compatible arcs; `validate_diagram` checks them
 
 
 def validate_diagram(n: int, arcs: Iterable[Arc]) -> Diagram:
@@ -208,10 +188,8 @@ def permutation_from_diagram(diagram: Diagram) -> Permutation:
     return Permutation(tuple(word))
 
 
-def _compat_graph(
-    n: int, keep: Callable[[Arc], bool] | None
-) -> tuple[list[Arc], list[int]]:
-    """The kept arcs in canonical order and their compatibility graph.
+def _compat_graph(n: int, arcset: ArcSet | None) -> tuple[list[Arc], list[int]]:
+    """The arcs of `arcset` (all when None) in canonical order and their compatibility graph.
 
     Bit j of the i-th mask is set when j > i and arcs i and j are
     compatible, so each compatible pair is recorded once.  The rule is
@@ -223,7 +201,12 @@ def _compat_graph(
     point into masks by the side they pass it on, so each arc's clashes
     take a few `|` and `&` over the points it spans.
     """
-    arcs = [alpha for alpha in all_arcs(n) if keep is None or keep(alpha)]
+    if arcset is None:
+        arcs = all_arcs(n)
+    elif arcset.n != n:
+        raise ValueError(f"arc set lives on {arcset.n} points, not {n}")
+    else:
+        arcs = list(arcset.sorted_arcs())
     lower = [0] * (n + 1)  # arcs with p as lower endpoint
     upper = [0] * (n + 1)  # arcs with p as upper endpoint
     on_left = [0] * (n + 1)  # arcs passing interior point p on their left
@@ -253,16 +236,14 @@ def _compat_graph(
     return arcs, later
 
 
-def enumerate_diagrams(
-    n: int, keep: Callable[[Arc], bool] | None = None
-) -> Iterator[Diagram]:
-    """All diagrams whose arcs satisfy `keep`, in a fixed backtracking order.
+def enumerate_diagrams(n: int, arcset: ArcSet | None = None) -> Iterator[Diagram]:
+    """All diagrams drawn from `arcset` (all arcs when None), in a fixed backtracking order.
 
     Arcs are tried in canonical order and partial selections are pruned
     at the first incompatible pair, so every emitted set is valid and
     every valid set is emitted exactly once.
     """
-    arcs, later = _compat_graph(n, keep)
+    arcs, later = _compat_graph(n, arcset)
     chosen: list[Arc] = []
 
     def walk(allowed: int) -> Iterator[Diagram]:
@@ -278,8 +259,8 @@ def enumerate_diagrams(
     yield from walk((1 << len(arcs)) - 1)
 
 
-def count_diagrams(n: int, keep: Callable[[Arc], bool] | None = None) -> tuple[int, ...]:
-    """How many diagrams use arcs satisfying `keep`, by arc count k = 0..n-1.
+def count_diagrams(n: int, arcset: ArcSet | None = None) -> tuple[int, ...]:
+    """How many diagrams are drawn from `arcset` (all arcs when None), by arc count k = 0..n-1.
 
     Nothing is listed.  A diagram is a set of pairwise compatible arcs
     (the canonical join complex is flag), so it is a clique of the
@@ -291,10 +272,11 @@ def count_diagrams(n: int, keep: Callable[[Arc], bool] | None = None) -> tuple[i
 
     >>> count_diagrams(4)
     (1, 11, 11, 1)
-    >>> count_diagrams(4, keep=lambda alpha: not alpha.right)
+    >>> left_arcs = ArcSet(4, frozenset(alpha for alpha in all_arcs(4) if not alpha.right))
+    >>> count_diagrams(4, left_arcs)
     (1, 6, 6, 1)
     """
-    arcs, later = _compat_graph(n, keep)
+    arcs, later = _compat_graph(n, arcset)
     # Each count is a polynomial in x packed into one int, with a slot of
     # `width` bits per coefficient.  No coefficient exceeds the n! diagrams
     # on n points, so sums never carry from one slot into the next.

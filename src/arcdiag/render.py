@@ -11,8 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .arcs import Arc, arc_key, all_arcs, forces_right_of, proper_subarcs
-from .congruences import ArcSet
+from .arcs import Arc, ArcSet, arc_key, all_arcs, forces_right_of, proper_subarcs
 from .diagrams import Diagram
 from .perms import Permutation, all_permutations, inversions, upper_covers
 

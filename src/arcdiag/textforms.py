@@ -7,8 +7,8 @@ the byte offset of the offending character.
 """
 from __future__ import annotations
 
-from .arcs import Arc
-from .congruences import ArcSet, named_congruence
+from .arcs import Arc, ArcSet
+from .congruences import named_congruence
 from .diagrams import Diagram, validate_diagram
 from .perms import Permutation
 
@@ -37,9 +37,7 @@ def parse_permutation(text: str) -> Permutation:
     if "," in text:
         offset = 0
         for part in text.split(","):
-            if not part or not part.isdigit():
-                raise ParseError(f"expected a number, got {part!r}", offset)
-            values.append(int(part))
+            values.append(_whole_int(part, f"expected a number, got {part!r}", offset))
             offset += len(part) + 1
     else:
         for i, ch in enumerate(text):
@@ -56,13 +54,25 @@ def format_arc(alpha: Arc) -> str:
     return str(alpha)
 
 
-def _scan_int(text: str, offset: int, what: str, base: int = 0) -> tuple[int, int]:
+def _scan_int(text: str, offset: int, message: str, base: int = 0) -> tuple[int, int]:
+    # ASCII digits only: str.isdigit also passes digits that int() rejects or misreads
     start = offset
-    while offset < len(text) and text[offset].isdigit():
+    while offset < len(text) and text[offset] in "0123456789":
         offset += 1
     if offset == start:
-        raise ParseError(f"expected {what}", base + start)
-    return int(text[start:offset]), offset
+        raise ParseError(message, base + start)
+    try:
+        return int(text[start:offset]), offset
+    except ValueError:  # more digits than sys.get_int_max_str_digits() allows
+        raise ParseError("number too long", base + start) from None
+
+
+def _whole_int(text: str, message: str, base: int = 0) -> int:
+    """The number spelled by all of `text`, or an error at its first non-digit."""
+    value, end = _scan_int(text, 0, message, base)
+    if end < len(text):
+        raise ParseError(message, base + end)
+    return value
 
 
 def parse_arc(text: str, n: int, base_offset: int = 0) -> Arc:
@@ -71,10 +81,10 @@ def parse_arc(text: str, n: int, base_offset: int = 0) -> Arc:
     >>> str(parse_arc("4-8:LRL", 9))
     '4-8:LRL'
     """
-    a, offset = _scan_int(text, 0, "the lower endpoint", base_offset)
+    a, offset = _scan_int(text, 0, "expected the lower endpoint", base_offset)
     if offset >= len(text) or text[offset] != "-":
         raise ParseError("expected '-' between endpoints", base_offset + offset)
-    b, offset = _scan_int(text, offset + 1, "the upper endpoint", base_offset)
+    b, offset = _scan_int(text, offset + 1, "expected the upper endpoint", base_offset)
     sides = ""
     if offset < len(text):
         if text[offset] != ":":
@@ -108,10 +118,7 @@ def format_diagram(diagram: Diagram) -> str:
 def _parse_header(lines: list[str]) -> int:
     if not lines or not lines[0].startswith("n="):
         raise ParseError("expected a header line n=<N>", 0)
-    rest = lines[0][2:]
-    if not rest.isdigit():
-        raise ParseError("expected a number after n=", 2)
-    return int(rest)
+    return _whole_int(lines[0][2:], "expected a number after n=", 2)
 
 
 def parse_diagram_body(text: str, n: int, base_offset: int = 0) -> Diagram:
@@ -143,7 +150,7 @@ def parse_diagram(text: str) -> Diagram:
 
 def format_arcset(arcset: ArcSet) -> str:
     lines = [f"n={arcset.n}"]
-    lines.extend(str(alpha) for alpha in arcset.sorted_members())
+    lines.extend(str(alpha) for alpha in arcset.sorted_arcs())
     return "\n".join(lines)
 
 
@@ -177,10 +184,12 @@ def parse_congruence_spec(spec: str, n: int) -> ArcSet:
             raise ParseError(f"orientation needs {n} letters, got {len(payload)}", len(name) + 1)
         return named_congruence(n, "cambrian", orientation=payload)
     if name in ("clumped", "maxlen"):
-        if not sep or not payload.isdigit():
-            raise ParseError(f"{name} needs a numeric bound, e.g. {name}:2", len(name) + 1)
+        message = f"{name} needs a numeric bound, e.g. {name}:2"
+        if not sep:
+            raise ParseError(message, len(name))
+        k = _whole_int(payload, message, len(name) + 1)
         try:
-            return named_congruence(n, name, k=int(payload))
+            return named_congruence(n, name, k=k)
         except ValueError as exc:
             raise ParseError(str(exc), len(name) + 1) from None
     raise ParseError(f"unknown congruence family {name!r}", 0)

@@ -179,6 +179,12 @@ def test_malformed_permutation_reports_byte_offset(capsys):
     assert err.startswith("error:") and "byte" in err
 
 
+def test_non_ascii_digit_reports_byte_offset(capsys):
+    code, out, err = run(capsys, ["delta", "1,²"])
+    assert code == 2 and out == ""
+    assert err == "error: expected a number, got '²' (byte 2)\n"
+
+
 def test_malformed_diagram_exit_2(capsys):
     code, _, err = run(capsys, ["inverse", "1-3:LX", "--n", "3"])
     assert code == 2 and "error:" in err

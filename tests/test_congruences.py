@@ -39,13 +39,13 @@ def random_congruences(n, count, seed):
 def test_full_arc_set_is_closed():
     for n in range(2, 8):
         u = full_arc_set(n)
-        assert len(u.members) == 2**n - n - 1
+        assert len(u.arcs) == 2**n - n - 1
         assert is_subarc_closed(u)
 
 
 def test_closure_detects_missing_subarc():
     u = named_congruence(4, "tamari")
-    broken = ArcSet(4, u.members - {make_arc(4, 1, 2, frozenset())})
+    broken = ArcSet(4, u.arcs - {make_arc(4, 1, 2, frozenset())})
     assert not is_subarc_closed(broken)
 
 
@@ -53,10 +53,10 @@ def test_closure_detects_missing_subarc():
 def test_contraction_yields_closed_sets(n):
     for gens, u in random_congruences(n, 25, seed=1000 + n):
         assert is_subarc_closed(u)
-        assert not any(g in u.members for g in gens)
+        assert not any(g in u.arcs for g in gens)
         for alpha in all_arcs(n):
             contracted = any(is_subarc(g, alpha) for g in gens)
-            assert contracted == (alpha not in u.members)
+            assert contracted == (alpha not in u.arcs)
 
 
 @pytest.mark.parametrize("n", range(3, 7))
@@ -78,7 +78,7 @@ def test_has_pattern_examples():
 
 def test_tamari_members_n3():
     u = named_congruence(3, "tamari")
-    assert {str(a) for a in u.members} == {"1-2", "2-3", "1-3:L"}
+    assert {str(a) for a in u.arcs} == {"1-2", "2-3", "1-3:L"}
     got = [str(x) for x in uncontracted_permutations(3, u)]
     assert got == ["123", "132", "213", "231", "321"]
 
@@ -119,11 +119,11 @@ def test_named_family_relations():
         assert named_congruence(n, "baxter") == named_congruence(n, "clumped", k=0)
         assert named_congruence(n, "maxlen", k=n) == full_arc_set(n)
         all_left = named_congruence(n, "cambrian", orientation="L" * n)
-        assert all(not alpha.left for alpha in all_left.members)
+        assert all(not alpha.left for alpha in all_left.arcs)
         prev = named_congruence(n, "clumped", k=0)
         for k in range(1, n):
             cur = named_congruence(n, "clumped", k=k)
-            assert prev.members <= cur.members
+            assert prev.arcs <= cur.arcs
             prev = cur
 
 
@@ -166,7 +166,7 @@ def test_project_down_properties(n):
 def test_project_down_tamari_n6(delta_image):
     u = named_congruence(6, "tamari")
     image = delta_image(6)
-    bottoms = {x for x, d in image.items() if all(alpha in u.members for alpha in d.arcs)}
+    bottoms = {x for x, d in image.items() if all(alpha in u.arcs for alpha in d.arcs)}
     assert len(bottoms) == catalan(6)
     fixed = {x for x in image if project_down(x, u) == x}
     assert fixed == bottoms
@@ -252,13 +252,13 @@ def test_congruence_preconditions(entry):
     with pytest.raises(ValueError, match="points, not"):
         call(4, named_congruence(3, "tamari"))
     u = named_congruence(4, "tamari")
-    broken = ArcSet(4, u.members - {make_arc(4, 1, 2, frozenset())})
+    broken = ArcSet(4, u.arcs - {make_arc(4, 1, 2, frozenset())})
     with pytest.raises(ValueError, match="not closed"):
         call(4, broken)
 
 
 def test_complex_rejects_unclosed_sets():
     u = named_congruence(4, "tamari")
-    broken = ArcSet(4, u.members - {make_arc(4, 1, 2, frozenset())})
+    broken = ArcSet(4, u.arcs - {make_arc(4, 1, 2, frozenset())})
     with pytest.raises(ValueError):
         list(complex_faces(4, broken))

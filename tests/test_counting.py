@@ -80,7 +80,7 @@ def test_count_by_arcs_tamari():
 
 def test_count_by_arcs_rejects_unclosed():
     u = named_congruence(4, "tamari")
-    broken = ArcSet(4, u.members - {make_arc(4, 1, 2, frozenset())})
+    broken = ArcSet(4, u.arcs - {make_arc(4, 1, 2, frozenset())})
     with pytest.raises(ValueError):
         count_by_arcs(4, broken)
     with pytest.raises(ValueError):
@@ -105,7 +105,7 @@ def test_verify_report_rejects_silly_bounds():
 
 def test_verify_report_flags_corrupt_extra_set():
     u = named_congruence(4, "tamari")
-    broken = ArcSet(4, u.members - {make_arc(4, 1, 2, frozenset())})
+    broken = ArcSet(4, u.arcs - {make_arc(4, 1, 2, frozenset())})
     report = verify_report(4, extra={"broken": broken})
     assert not report.passed
     bad = [r for r in report.failures()]
@@ -125,14 +125,14 @@ def test_verify_report_text_and_json():
 
 def test_arc_stats_drive_zero_inflection_count():
     u = full_arc_set(4)
-    zero = [alpha for alpha in u.members if arc_stats(alpha).inflections == 0]
-    assert frozenset(zero) == named_congruence(4, "baxter").members
+    zero = [alpha for alpha in u.arcs if arc_stats(alpha).inflections == 0]
+    assert frozenset(zero) == named_congruence(4, "baxter").arcs
 
 
 def listed_row(n, arcset):
     """The oracle: list every diagram inside arcset and tally arc counts."""
     row = [0] * n
-    for diagram in enumerate_diagrams(n, keep=lambda alpha: alpha in arcset.members):
+    for diagram in enumerate_diagrams(n, arcset):
         row[len(diagram.arcs)] += 1
     return tuple(row)
 
@@ -189,3 +189,10 @@ def test_counts_past_listing_sizes():
     assert tamari.counts == tuple(narayana(12, k) for k in range(1, 13))
     assert tamari.total == catalan(12) == 208012
     assert count_by_arcs(11, named_congruence(11, "baxter")).total == baxter_number(11) == 1882960
+
+
+def test_counting_a_given_set_builds_no_other_arcs(monkeypatch):
+    u = named_congruence(6, "tamari")
+    monkeypatch.setattr("arcdiag.diagrams.all_arcs", lambda n: pytest.fail("all_arcs rebuilt"))
+    assert count_by_arcs(6, u).total == catalan(6)
+    assert sum(1 for _ in enumerate_diagrams(6, u)) == catalan(6)

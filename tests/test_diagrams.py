@@ -6,12 +6,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from arcdiag import (
+    ArcSet,
     Diagram,
     Permutation,
     all_arcs,
     all_permutations,
     classify_diagram,
     compatible,
+    count_diagrams,
     deletion_stages,
     diagram_from_permutation,
     enumerate_diagrams,
@@ -97,11 +99,26 @@ def test_enumeration_is_deterministic():
     assert first == second
 
 
-def test_enumeration_respects_keep():
-    short = list(enumerate_diagrams(5, keep=lambda alpha: alpha.b - alpha.a == 1))
+def test_enumeration_stays_inside_arcset():
+    unit_arcs = ArcSet(5, frozenset(alpha for alpha in all_arcs(5) if alpha.b - alpha.a == 1))
+    short = list(enumerate_diagrams(5, unit_arcs))
     assert all(all(alpha.b - alpha.a == 1 for alpha in d.arcs) for d in short)
     # the four unit arcs are pairwise compatible, so every subset shows up
     assert len(short) == 16
+
+
+def test_diagram_is_arcset():
+    assert Diagram is ArcSet
+    d = diagram_from_permutation(P("46731528"))
+    assert make_arc(8, 1, 3, {2}) in d
+    assert repr(d) == "ArcSet(8, '1-3:R;2-5:LL;3-7:LRL')"
+
+
+@pytest.mark.parametrize("walk", [enumerate_diagrams, count_diagrams])
+def test_enumeration_and_count_reject_arcset_on_wrong_n(walk):
+    arcset = ArcSet(4, frozenset(all_arcs(4)))
+    with pytest.raises(ValueError, match="lives on 4 points, not 5"):
+        list(walk(5, arcset))
 
 
 def test_delta_of_inverse_is_identity_n7():

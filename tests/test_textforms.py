@@ -116,7 +116,7 @@ def test_arcset_round_trip():
     text = format_arcset(u)
     assert text.splitlines()[0] == "n=4"
     assert parse_arcset(text) == u
-    assert parse_arcset("n=4\n1-2\n\n2-3\n") .members == {
+    assert parse_arcset("n=4\n1-2\n\n2-3\n") .arcs == {
         parse_arc("1-2", n=4),
         parse_arc("2-3", n=4),
     }
@@ -159,5 +159,124 @@ def test_full_arc_set_text_round_trip():
     for n in range(2, 7):
         u = full_arc_set(n)
         assert parse_arcset(format_arcset(u)) == u
-        for alpha in u.members:
+        for alpha in u.arcs:
             assert parse_arc(format_arc(alpha), n=n) == alpha
+
+
+def parse_arc_on_3(text):
+    return parse_arc(text, 3)
+
+
+def parse_spec_on_4(text):
+    return parse_congruence_spec(text, 4)
+
+
+@pytest.mark.parametrize("digit", ["²", "٣"])
+@pytest.mark.parametrize(
+    "parse,template,offset",
+    [
+        (parse_permutation, "1{}", 1),
+        (parse_permutation, "1,{}", 2),
+        (parse_permutation, "{}1,2", 0),
+        (parse_arc_on_3, "{}-3", 0),
+        (parse_arc_on_3, "1-{}", 2),
+        (parse_arc_on_3, "1{}-3", 1),
+        (parse_diagram, "n={}\n", 2),
+        (parse_diagram, "n=3{}\n", 3),
+        (parse_diagram, "n=3\n1-{}", 6),
+        (parse_arcset, "n={}\n1-2", 2),
+        (parse_spec_on_4, "clumped:{}", 8),
+        (parse_spec_on_4, "maxlen:1{}", 8),
+    ],
+)
+def test_non_ascii_digits_are_parse_errors(parse, template, offset, digit):
+    # str.isdigit accepts these; int() then raised without an offset or,
+    # for some, read a different number
+    text = template.format(digit)
+    with pytest.raises(ParseError) as err:
+        parse(text)
+    assert err.value.offset == offset
+
+
+@pytest.mark.parametrize(
+    "parse,template,offset",
+    [
+        (parse_permutation, "1,{}", 2),
+        (parse_arc_on_3, "1-{}", 2),
+        (parse_diagram, "n={}\n", 2),
+        (parse_spec_on_4, "maxlen:{}", 7),
+    ],
+)
+def test_overlong_numbers_are_parse_errors(parse, template, offset):
+    # int() refuses strings past sys.get_int_max_str_digits() (4300 by default)
+    with pytest.raises(ParseError) as err:
+        parse(template.format("9" * 5000))
+    assert err.value.offset == offset
+
+
+def test_numeric_bound_missing_its_colon_points_inside_the_text():
+    with pytest.raises(ParseError) as err:
+        parse_congruence_spec("clumped", 3)
+    assert err.value.offset == len("clumped")
+
+
+def parses_or_reports_offset(parse, text):
+    """Either a value or a ParseError pointing inside the text, nothing else."""
+    try:
+        parse(text)
+    except ParseError as exc:
+        assert 0 <= exc.offset <= len(text), (text, exc.offset)
+
+
+def any_text(alphabet, max_size=24):
+    return st.one_of(st.text(max_size=max_size), st.text(alphabet, max_size=max_size))
+
+
+FUZZ = settings(max_examples=400, deadline=None)
+
+
+@given(any_text("0123456789,²٣x"))
+@FUZZ
+def test_fuzz_parse_permutation(text):
+    parses_or_reports_offset(parse_permutation, text)
+
+
+@given(any_text("0123456789-:LR²٣x"), st.integers(0, 12))
+@FUZZ
+def test_fuzz_parse_arc(text, n):
+    parses_or_reports_offset(lambda t: parse_arc(t, n), text)
+
+
+@given(
+    st.one_of(
+        st.text(max_size=30),
+        st.tuples(
+            st.sampled_from(["n=", "m=", ""]),
+            st.text("0123456789²", max_size=2),
+            st.text("0123456789-:;LR\n²٣", max_size=30),
+        ).map("".join),
+    )
+)
+@FUZZ
+def test_fuzz_parse_diagram(text):
+    try:
+        parses_or_reports_offset(parse_diagram, text)
+    except ValueError as exc:
+        # well-formed text whose arcs cannot share a diagram: a validity
+        # error from validate_diagram, which carries no offset
+        assert str(exc).startswith("incompatible arcs: "), (text, exc)
+
+
+@given(
+    st.one_of(
+        st.text(max_size=20),
+        st.tuples(
+            st.sampled_from(["tamari", "baxter", "cambrian", "clumped", "maxlen", "bogus", ""]),
+            st.text(":LR0123456789²٣x", max_size=10),
+        ).map("".join),
+    ),
+    st.integers(0, 6),
+)
+@FUZZ
+def test_fuzz_parse_congruence_spec(text, n):
+    parses_or_reports_offset(lambda t: parse_congruence_spec(t, n), text)
