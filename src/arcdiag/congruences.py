@@ -14,6 +14,11 @@ descent from at least b down to at most a with the arc's left values
 before it and right values after it.  Both routes are exposed and the
 test suite holds them equal.
 
+A congruence contracts the weak-order cover that swaps a descent of x
+exactly when it contracts that descent's arc, the cover's label.  Walks
+swapping contracted descents (ascents) reach class bottoms (tops), and
+the quotient's covers are the bottoms of the upper covers of each top.
+
 Named families:
 
 * ``tamari``      left arcs only
@@ -32,19 +37,11 @@ from .arcs import (
     all_arcs,
     arc_key,
     arc_stats,
-    ji_from_arc,
     proper_subarcs,
     subarcs,
 )
-from .diagrams import diagram_from_permutation, enumerate_diagrams
-from .perms import (
-    Permutation,
-    all_permutations,
-    descents,
-    inversions,
-    join,
-    positions,
-)
+from .diagrams import _cover_label, diagram_from_permutation, enumerate_diagrams
+from .perms import Permutation, all_permutations, descents, positions
 
 
 def full_arc_set(n: int) -> ArcSet:
@@ -148,24 +145,35 @@ def uncontracted_by_avoidance(n: int, arcset: ArcSet) -> Iterator[Permutation]:
             yield x
 
 
+def _walk(x: Permutation, arcset: ArcSet, down: bool) -> Permutation:
+    _require_congruence(x.n, arcset)
+    while True:
+        e, pos = x.entries, positions(x)
+        for i in range(1, x.n):
+            if (e[i - 1] > e[i]) == down and _cover_label(x, pos, i) not in arcset.arcs:
+                x = Permutation(e[: i - 1] + (e[i], e[i - 1]) + e[i + 1 :])
+                break
+        else:
+            return x
+
+
 def project_down(x: Permutation, arcset: ArcSet) -> Permutation:
     """Bottom element of the congruence class of x.
 
-    Joins the uncontracted join-irreducibles weakly below x; idempotent
-    and order preserving.
+    Swaps descents whose label is contracted until none is left.  Each
+    swap stays inside the class, and a class is an interval, so the walk
+    stops only at its bottom.  Idempotent and order preserving.
 
     >>> U = congruence_from_contracted(3, [Arc(3, 1, 3, frozenset({2}))])
-    >>> str(project_down(Permutation((3, 1, 2)), U))
-    '132'
+    >>> str(project_down(Permutation((3, 1, 2)), U)), str(project_up(Permutation((1, 3, 2)), U))
+    ('132', '312')
     """
-    _require_congruence(x.n, arcset)
-    inv = inversions(x).pairs
-    joinands = [
-        ji
-        for ji in (ji_from_arc(alpha) for alpha in arcset.sorted_arcs())
-        if inversions(ji).pairs <= inv
-    ]
-    return join(joinands, n=x.n)
+    return _walk(x, arcset, down=True)
+
+
+def project_up(x: Permutation, arcset: ArcSet) -> Permutation:
+    """Top element of the congruence class of x: the walk of `project_down` over ascents."""
+    return _walk(x, arcset, down=False)
 
 
 def named_congruence(

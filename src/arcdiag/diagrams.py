@@ -52,12 +52,20 @@ def diagram_from_permutation(x: Permutation) -> Diagram:
     '2-4:R;3-9:LLRLL;4-8:LRL'
     """
     pos = positions(x)
-    arcs = []
-    for i in descents(x):
-        b, a = x.entries[i - 1], x.entries[i]
-        right = frozenset(v for v in range(a + 1, b) if pos[v - 1] > i + 1)
-        arcs.append(Arc(x.n, a, b, right))
-    return Diagram(x.n, frozenset(arcs))
+    return Diagram(x.n, frozenset([_cover_label(x, pos, i) for i in descents(x)]))
+
+
+def _cover_label(x: Permutation, pos: tuple[int, ...], i: int) -> Arc:
+    """The arc labelling the weak-order cover that swaps positions i and i+1 of x.
+
+    It is the arc of the upper end's joinand at descent i, given `pos =
+    positions(x)`; the swap moves no in-between value, so x may be either end.
+    """
+    e = x.entries
+    b, a = e[i - 1], e[i]
+    if a > b:
+        a, b = b, a
+    return Arc(len(e), a, b, frozenset(v for v in range(a + 1, b) if pos[v - 1] > i + 1))
 
 
 @dataclass(frozen=True)

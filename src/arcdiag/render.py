@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 from .arcs import Arc, ArcSet, arc_key, all_arcs, forces_right_of, proper_subarcs
 from .diagrams import Diagram
-from .perms import Permutation, all_permutations, inversions, upper_covers
+from .perms import all_permutations, upper_covers
 
 
 @dataclass(frozen=True)
@@ -52,7 +52,7 @@ def _left_to_right(members: list[Arc]) -> list[Arc]:
 def arc_offsets(diagram: Diagram) -> dict[Arc, dict[int, int]]:
     """Unit offsets per arc and height; endpoints sit on the axis at 0."""
     groups: dict[tuple[int, bool], list[Arc]] = {}
-    for alpha in sorted(diagram.arcs, key=arc_key):
+    for alpha in diagram.sorted_arcs():
         for p in alpha.interior:
             groups.setdefault((p, p in alpha.right), []).append(alpha)
 
@@ -95,7 +95,7 @@ def render_ascii(diagram: Diagram, style: RenderStyle = DEFAULT_STYLE) -> str:
     def row_of(h: int) -> int:
         return 2 * (n - h)
 
-    for alpha in sorted(diagram.arcs, key=arc_key):
+    for alpha in diagram.sorted_arcs():
         per = offsets[alpha]
         for h in range(alpha.a + 1, alpha.b):
             grid[row_of(h)][center + cw * per[h]] = "|"
@@ -143,7 +143,7 @@ def render_svg(diagram: Diagram, style: RenderStyle = DEFAULT_STYLE) -> str:
         f'<svg xmlns="http://www.w3.org/2000/svg" width="{width}" height="{height}" '
         f'viewBox="0 0 {width} {height}">'
     ]
-    arcs = sorted(diagram.arcs, key=arc_key)
+    arcs = diagram.sorted_arcs()
     if arcs:
         lines.append(
             f'<g fill="none" stroke="black" stroke-width="{style.stroke_width}">'
@@ -162,21 +162,6 @@ def render_svg(diagram: Diagram, style: RenderStyle = DEFAULT_STYLE) -> str:
     return "\n".join(lines)
 
 
-def _weak_covers(elements: list[Permutation]) -> list[tuple[Permutation, Permutation]]:
-    pairs_of = {x: inversions(x).pairs for x in elements}
-    by_size = sorted(elements, key=lambda x: (len(pairs_of[x]), x.entries))
-    covers = []
-    for x in elements:
-        found: list[Permutation] = []
-        for v in by_size:
-            if len(pairs_of[v]) <= len(pairs_of[x]) or not pairs_of[x] < pairs_of[v]:
-                continue
-            if not any(pairs_of[w] <= pairs_of[v] for w in found):
-                found.append(v)
-                covers.append((x, v))
-    return covers
-
-
 def export_dot(kind: str, n: int, arcset: ArcSet | None = None) -> str:
     """DOT text for the forcing order on arcs or the weak order Hasse diagram.
 
@@ -188,7 +173,7 @@ def export_dot(kind: str, n: int, arcset: ArcSet | None = None) -> str:
     if kind == "forcing":
         if arcset is not None:
             raise ValueError("the forcing export does not take a congruence")
-        arcs = sorted(all_arcs(n), key=arc_key)
+        arcs = all_arcs(n)
         lines = ["digraph forcing {", "  rankdir=BT;"]
         lines.extend(f'  "{alpha}";' for alpha in arcs)
         # alpha is covered by beta in the subarc order exactly when it is
@@ -212,11 +197,14 @@ def export_dot(kind: str, n: int, arcset: ArcSet | None = None) -> str:
                 for y in sorted(upper_covers(x), key=lambda p: p.entries)
             ]
         else:
-            from .congruences import uncontracted_permutations
+            from .congruences import project_down, project_up, uncontracted_permutations
 
+            # the upper covers of a class top lead into exactly the classes covering it
             elements = list(uncontracted_permutations(n, arcset))
             covers = sorted(
-                _weak_covers(elements), key=lambda e: (e[0].entries, e[1].entries)
+                {(x, project_down(y, arcset))
+                 for x in elements for y in upper_covers(project_up(x, arcset))},
+                key=lambda e: (e[0].entries, e[1].entries),
             )
         lines = ["digraph weak_order {", "  rankdir=BT;"]
         lines.extend(f'  "{x}";' for x in elements)

@@ -142,9 +142,9 @@ def parse_diagram(text: str) -> Diagram:
     n = _parse_header(lines)
     body = lines[1] if len(lines) > 1 else ""
     offset = len(lines[0]) + 1
-    for extra in lines[2:]:
-        if extra:
-            raise ParseError("unexpected extra line", offset + len(body) + 1)
+    for k, extra in enumerate(lines[2:]):
+        if extra:  # the k lines before it are empty
+            raise ParseError("unexpected extra line", offset + len(body) + 1 + k)
     return parse_diagram_body(body, n, offset)
 
 

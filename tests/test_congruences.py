@@ -18,11 +18,14 @@ from arcdiag import (
     inversions,
     is_subarc,
     is_subarc_closed,
+    ji_from_arc,
+    join,
     make_arc,
     minimal_contracted_generators,
     named_congruence,
     narayana,
     project_down,
+    project_up,
     uncontracted_by_avoidance,
     uncontracted_permutations,
 )
@@ -146,6 +149,39 @@ def test_project_down_worked_example():
     assert str(project_down(Permutation((3, 2, 1)), u)) == "321"
 
 
+def join_projection(x, irreducibles):
+    """The bottom of x's class as the join of the uncontracted join-irreducibles below x.
+
+    `irreducibles` pairs the join-irreducible of each uncontracted arc
+    with its inversion set.
+    """
+    inv = inversions(x).pairs
+    return join([ji for ji, pairs in irreducibles if pairs <= inv], n=x.n)
+
+
+@pytest.mark.parametrize("n", range(2, 7))
+def test_projections_match_join_oracle(n):
+    alternating = "".join("LR"[i % 2] for i in range(n))
+    congruences = [
+        named_congruence(n, "tamari"),
+        named_congruence(n, "baxter"),
+        named_congruence(n, "clumped", k=1),
+        named_congruence(n, "maxlen", k=3),
+        named_congruence(n, "cambrian", orientation=alternating),
+    ] + [u for _, u in random_congruences(n, 5, seed=6000 + n)]
+    for u in congruences:
+        irreducibles = [(ji, inversions(ji).pairs) for ji in map(ji_from_arc, u.sorted_arcs())]
+        classes = {}
+        for x in all_permutations(n):
+            bottom = join_projection(x, irreducibles)
+            assert project_down(x, u) == bottom
+            classes.setdefault(bottom, []).append(x)
+        for members in classes.values():
+            # a class is an interval, so its top has the most inversions
+            top = max(members, key=lambda x: len(inversions(x).pairs))
+            assert all(project_up(x, u) == top for x in members)
+
+
 @pytest.mark.parametrize("n", range(2, 6))
 def test_project_down_properties(n):
     elems = list(all_permutations(n))
@@ -241,6 +277,7 @@ PRECONDITION_ENTRY_POINTS = {
     "uncontracted_permutations": lambda n, u: list(uncontracted_permutations(n, u)),
     "uncontracted_by_avoidance": lambda n, u: list(uncontracted_by_avoidance(n, u)),
     "project_down": lambda n, u: project_down(Permutation(tuple(range(n, 0, -1))), u),
+    "project_up": lambda n, u: project_up(Permutation(tuple(range(1, n + 1))), u),
     "complex_faces": lambda n, u: list(complex_faces(n, u)),
     "count_by_arcs": count_by_arcs,
 }

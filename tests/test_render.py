@@ -1,4 +1,5 @@
 import itertools
+import random
 import re
 from collections import Counter
 
@@ -12,9 +13,12 @@ from arcdiag import (
     RenderStyle,
     all_permutations,
     arc_offsets,
+    catalan,
+    congruence_from_contracted,
     diagram_from_permutation,
     export_dot,
     forces_right_of,
+    inversions,
     is_subarc,
     all_arcs,
     make_arc,
@@ -230,6 +234,47 @@ def test_export_weak_quotient_n3():
         ("213", "231"),
         ("231", "321"),
     }
+
+
+def pairwise_weak_covers(elements):
+    """Hasse covers of the weak order restricted to `elements`, comparing inversion sets pairwise."""
+    pairs_of = {x: inversions(x).pairs for x in elements}
+    by_size = sorted(elements, key=lambda x: (len(pairs_of[x]), x.entries))
+    covers = []
+    for x in elements:
+        found = []
+        for v in by_size:
+            if len(pairs_of[v]) <= len(pairs_of[x]) or not pairs_of[x] < pairs_of[v]:
+                continue
+            if not any(pairs_of[w] <= pairs_of[v] for w in found):
+                found.append(v)
+                covers.append((x, v))
+    return covers
+
+
+@pytest.mark.parametrize("n", range(2, 6))
+def test_export_weak_quotient_matches_pairwise_covers(n):
+    rng = random.Random(7000 + n)
+    arcs = all_arcs(n)
+    for _ in range(8):
+        u = congruence_from_contracted(n, rng.sample(arcs, rng.randint(1, min(4, len(arcs)))))
+        elements = [x for x in all_permutations(n) if diagram_from_permutation(x).arcs <= u.arcs]
+        covers = sorted(pairwise_weak_covers(elements), key=lambda e: (e[0].entries, e[1].entries))
+        expected = ["digraph weak_order {", "  rankdir=BT;"]
+        expected += [f'  "{x}";' for x in elements]
+        expected += [f'  "{x}" -> "{y}";' for x, y in covers]
+        expected.append("}")
+        assert export_dot("weak", n, u) == "\n".join(expected)
+
+
+def test_export_weak_tamari_n8_counts():
+    dot = export_dot("weak", 8, named_congruence(8, "tamari"))
+    nodes = re.findall(r'^  "([^"]+)";$', dot, re.M)
+    edges = re.findall(r'^  "([^"]+)" -> "([^"]+)";$', dot, re.M)
+    assert len(nodes) == catalan(8) == 1430
+    # a class covers one class per descent of its bottom, and by Narayana
+    # symmetry the bottoms have (n - 1) * C_n / 2 descents in all
+    assert len(edges) == len(set(edges)) == 7 * catalan(8) // 2 == 5005
 
 
 def test_export_rejects_bad_arguments():

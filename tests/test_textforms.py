@@ -104,6 +104,21 @@ def test_diagram_errors_carry_offsets():
         parse_diagram_body("1-2;1-3:L", n=3)
 
 
+@pytest.mark.parametrize(
+    "text, offset",
+    [
+        ("n=3\n1-2\nx", 8),
+        ("n=3\n1-2\n\nx", 9),
+        ("n=3\n1-2\n\n\n  y", 10),
+        ("n=3\n\n\nx", 6),
+    ],
+)
+def test_extra_line_offset_is_its_first_character(text, offset):
+    with pytest.raises(ParseError, match="unexpected extra line") as err:
+        parse_diagram(text)
+    assert err.value.offset == offset
+
+
 def test_empty_diagram_forms():
     d = parse_diagram("n=5\n")
     assert d.arcs == frozenset()
