@@ -62,6 +62,8 @@ def _read_diagram(args: argparse.Namespace) -> Diagram:
     if text.lstrip().startswith("n="):
         diagram = parse_diagram(text)
         _check_positive(diagram.n)
+        if args.n is not None and args.n != diagram.n:
+            raise ValueError(f"--n {args.n} does not match a diagram on {diagram.n} points")
         return diagram
     if args.n is None:
         raise ValueError("a bare diagram body needs --n")

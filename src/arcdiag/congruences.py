@@ -35,10 +35,9 @@ from .arcs import (
     Arc,
     ArcSet,
     all_arcs,
-    arc_key,
     arc_stats,
-    proper_subarcs,
-    subarcs,
+    is_subarc,
+    subarc_covers,
 )
 from .diagrams import _cover_label, diagram_from_permutation, enumerate_diagrams
 from .perms import Permutation, all_permutations, descents, positions
@@ -78,23 +77,23 @@ def congruence_from_contracted(n: int, generators: Iterable[Arc]) -> ArcSet:
     members = [
         alpha
         for alpha in all_arcs(n)
-        if not any(beta in gen_set for beta in subarcs(alpha))
+        if not any(is_subarc(g, alpha) for g in gen_set)
     ]
     return ArcSet(n, frozenset(members))
 
 
 def minimal_contracted_generators(n: int, arcset: ArcSet) -> tuple[Arc, ...]:
-    """Subarc-minimal elements of the complement of `arcset`, canonical order."""
-    contracted = frozenset(all_arcs(n)) - arcset.arcs
+    """Subarc-minimal elements of the complement of `arcset`, canonical order.
+
+    The set is closed, so an arc outside it is minimal exactly when its
+    subarc covers lie inside.
+    """
+    _require_congruence(n, arcset)
+    arcs = arcset.arcs
     return tuple(
-        sorted(
-            (
-                g
-                for g in contracted
-                if not any(beta in contracted for beta in proper_subarcs(g))
-            ),
-            key=arc_key,
-        )
+        g
+        for g in all_arcs(n)
+        if g not in arcs and all(beta in arcs for beta in subarc_covers(g))
     )
 
 
@@ -221,15 +220,6 @@ def named_congruence(
     else:
         raise ValueError(f"unknown congruence family {name!r}")
     return ArcSet(n, frozenset(members))
-
-
-def forcing_edges(n: int) -> frozenset[tuple[Arc, Arc]]:
-    """All ordered pairs (alpha, beta) with alpha a proper subarc of beta."""
-    pairs = []
-    for beta in all_arcs(n):
-        for alpha in proper_subarcs(beta):
-            pairs.append((alpha, beta))
-    return frozenset(pairs)
 
 
 def complex_faces(n: int, arcset: ArcSet) -> Iterator[frozenset[Arc]]:

@@ -12,13 +12,11 @@ import json
 import math
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Mapping
 
 from .arcs import ArcSet
 from .congruences import (
     _require_congruence,
     full_arc_set,
-    is_subarc_closed,
     named_congruence,
     uncontracted_by_avoidance,
     uncontracted_permutations,
@@ -107,7 +105,6 @@ class CountTable:
     """Diagram counts split by number of arcs, k = 0..n-1."""
 
     n: int
-    label: str
     counts: tuple[int, ...]
 
     @property
@@ -115,11 +112,11 @@ class CountTable:
         return sum(self.counts)
 
 
-def count_by_arcs(n: int, arcset: ArcSet, label: str = "arcs") -> CountTable:
+def count_by_arcs(n: int, arcset: ArcSet) -> CountTable:
     """Count the diagrams inside `arcset`, split by arc count."""
     _require_congruence(n, arcset)
     counts = count_diagrams(n, arcset)
-    return CountTable(n=n, label=label, counts=counts)
+    return CountTable(n=n, counts=counts)
 
 
 # Down-up alternating permutation counts for even sizes; these are the
@@ -182,26 +179,17 @@ def _has_consecutive_321(x) -> bool:
 VERIFY_MAX_N = 8
 
 
-def verify_report(
-    n_max: int,
-    limit: int = VERIFY_MAX_N,
-    extra: Mapping[str, ArcSet] | None = None,
-) -> VerifyReport:
-    """Recompute the headline counts up to n_max and report each comparison.
-
-    `extra` maps labels to arc sets whose subarc closure and counts are
-    audited alongside the built-in checks; a broken closure shows up as
-    a failed row rather than an exception.
-    """
-    if not 1 <= n_max <= limit:
-        raise ValueError(f"n_max must be between 1 and {limit}")
+def verify_report(n_max: int) -> VerifyReport:
+    """Recompute the headline counts up to n_max and report each comparison."""
+    if not 1 <= n_max <= VERIFY_MAX_N:
+        raise ValueError(f"n_max must be between 1 and {VERIFY_MAX_N}")
     results: list[CheckResult] = []
 
     def add(name: str, n: int, expected, observed) -> None:
         results.append(CheckResult(name, n, expected, observed, expected == observed))
 
     for n in range(1, n_max + 1):
-        table = count_by_arcs(n, full_arc_set(n), label="all")
+        table = count_by_arcs(n, full_arc_set(n))
         add("diagram-count", n, math.factorial(n), table.total)
         add("arc-count-row", n, tuple(eulerian(n, k) for k in range(n)), table.counts)
 
@@ -216,7 +204,7 @@ def verify_report(
         add("round-trip-mismatches", n, 0, mismatches)
 
         tamari = named_congruence(n, "tamari")
-        left = count_by_arcs(n, tamari, label="tamari")
+        left = count_by_arcs(n, tamari)
         add("left-arc-total", n, catalan(n), left.total)
         add("left-arc-row", n, tuple(narayana(n, k + 1) for k in range(n)), left.counts)
 
@@ -224,7 +212,7 @@ def verify_report(
             "zero-inflection-total",
             n,
             baxter_number(n),
-            count_by_arcs(n, named_congruence(n, "baxter"), label="baxter").total,
+            count_by_arcs(n, named_congruence(n, "baxter")).total,
         )
 
         matching_conflicts = sum(
@@ -249,7 +237,7 @@ def verify_report(
                 f"maxlen-{k}-total",
                 n,
                 prodmin(n, k),
-                count_by_arcs(n, named_congruence(n, "maxlen", k=k), label=f"maxlen:{k}").total,
+                count_by_arcs(n, named_congruence(n, "maxlen", k=k)).total,
             )
 
         clumped = named_congruence(n, "clumped", k=1)
@@ -259,12 +247,5 @@ def verify_report(
             sum(1 for _ in uncontracted_permutations(n, clumped)),
             sum(1 for _ in uncontracted_by_avoidance(n, clumped)),
         )
-
-    for label, arcset in (extra or {}).items():
-        closed = is_subarc_closed(arcset)
-        add(f"subarc-closure:{label}", arcset.n, True, closed)
-        if closed:
-            t = count_by_arcs(arcset.n, arcset, label=label)
-            add(f"count-consistency:{label}", arcset.n, t.total, sum(t.counts))
 
     return VerifyReport(n_max=n_max, results=tuple(results))

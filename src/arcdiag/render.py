@@ -9,24 +9,16 @@ order, so curves never cross.  Output depends only on the input values.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
-
-from .arcs import Arc, ArcSet, arc_key, all_arcs, forces_right_of, proper_subarcs
+from .arcs import Arc, ArcSet, arc_key, all_arcs, forces_right_of, subarc_covers
 from .diagrams import Diagram
 from .perms import all_permutations, upper_covers
 
-
-@dataclass(frozen=True)
-class RenderStyle:
-    spacing: int = 40  # vertical px between points
-    unit: int = 22  # horizontal px per offset unit
-    margin: int = 30
-    radius: int = 4
-    stroke_width: int = 2
-    col_width: int = 2  # ascii columns per offset unit
-
-
-DEFAULT_STYLE = RenderStyle()
+SPACING = 40  # vertical px between points
+UNIT = 22  # horizontal px per offset unit
+MARGIN = 30
+RADIUS = 4
+STROKE_WIDTH = 2
+COL_WIDTH = 2  # ascii columns per offset unit
 
 
 def _left_to_right(members: list[Arc]) -> list[Arc]:
@@ -72,7 +64,7 @@ def _marker(h: int) -> str:
     return str(h) if h <= 9 else "o"
 
 
-def render_ascii(diagram: Diagram, style: RenderStyle = DEFAULT_STYLE) -> str:
+def render_ascii(diagram: Diagram) -> str:
     """Character-grid picture, one row per point and one between.
 
     >>> from .textforms import parse_diagram
@@ -87,9 +79,8 @@ def render_ascii(diagram: Diagram, style: RenderStyle = DEFAULT_STYLE) -> str:
     offsets = arc_offsets(diagram)
     lo = min((o for per in offsets.values() for o in per.values()), default=0)
     hi = max((o for per in offsets.values() for o in per.values()), default=0)
-    cw = style.col_width
-    center = -lo * cw
-    width = (hi - lo) * cw + 1
+    center = -lo * COL_WIDTH
+    width = (hi - lo) * COL_WIDTH + 1
     grid = [[" "] * width for _ in range(2 * n - 1)]
 
     def row_of(h: int) -> int:
@@ -98,10 +89,10 @@ def render_ascii(diagram: Diagram, style: RenderStyle = DEFAULT_STYLE) -> str:
     for alpha in diagram.sorted_arcs():
         per = offsets[alpha]
         for h in range(alpha.a + 1, alpha.b):
-            grid[row_of(h)][center + cw * per[h]] = "|"
+            grid[row_of(h)][center + COL_WIDTH * per[h]] = "|"
         for h in range(alpha.a, alpha.b):
-            upper = center + cw * per[h + 1]
-            lower = center + cw * per[h]
+            upper = center + COL_WIDTH * per[h + 1]
+            lower = center + COL_WIDTH * per[h]
             r = row_of(h) - 1
             if upper == lower:
                 grid[r][upper] = "|"
@@ -119,7 +110,7 @@ def render_ascii(diagram: Diagram, style: RenderStyle = DEFAULT_STYLE) -> str:
     return "\n".join("".join(row).rstrip() for row in grid)
 
 
-def render_svg(diagram: Diagram, style: RenderStyle = DEFAULT_STYLE) -> str:
+def render_svg(diagram: Diagram) -> str:
     """Standalone SVG with smooth monotone curves through the layout.
 
     Each height step is one cubic segment with vertical tangents, so a
@@ -131,13 +122,13 @@ def render_svg(diagram: Diagram, style: RenderStyle = DEFAULT_STYLE) -> str:
     offsets = arc_offsets(diagram)
     lo = min((o for per in offsets.values() for o in per.values()), default=0)
     hi = max((o for per in offsets.values() for o in per.values()), default=0)
-    cx = style.margin - lo * style.unit
-    width = 2 * style.margin + (hi - lo) * style.unit
-    height = 2 * style.margin + (n - 1) * style.spacing
-    bend = style.spacing // 3
+    cx = MARGIN - lo * UNIT
+    width = 2 * MARGIN + (hi - lo) * UNIT
+    height = 2 * MARGIN + (n - 1) * SPACING
+    bend = SPACING // 3
 
     def y(h: int) -> int:
-        return style.margin + (n - h) * style.spacing
+        return MARGIN + (n - h) * SPACING
 
     lines = [
         f'<svg xmlns="http://www.w3.org/2000/svg" width="{width}" height="{height}" '
@@ -145,19 +136,17 @@ def render_svg(diagram: Diagram, style: RenderStyle = DEFAULT_STYLE) -> str:
     ]
     arcs = diagram.sorted_arcs()
     if arcs:
-        lines.append(
-            f'<g fill="none" stroke="black" stroke-width="{style.stroke_width}">'
-        )
+        lines.append(f'<g fill="none" stroke="black" stroke-width="{STROKE_WIDTH}">')
         for alpha in arcs:
             per = offsets[alpha]
-            points = [(cx + style.unit * per[h], y(h)) for h in range(alpha.a, alpha.b + 1)]
+            points = [(cx + UNIT * per[h], y(h)) for h in range(alpha.a, alpha.b + 1)]
             parts = [f"M {points[0][0]} {points[0][1]}"]
             for (x0, y0), (x1, y1) in zip(points, points[1:]):
                 parts.append(f"C {x0} {y0 - bend},{x1} {y1 + bend},{x1} {y1}")
             lines.append(f'<path d="{" ".join(parts)}"/>')
         lines.append("</g>")
     for h in range(1, n + 1):
-        lines.append(f'<circle cx="{cx}" cy="{y(h)}" r="{style.radius}"/>')
+        lines.append(f'<circle cx="{cx}" cy="{y(h)}" r="{RADIUS}"/>')
     lines.append("</svg>")
     return "\n".join(lines)
 
@@ -176,15 +165,8 @@ def export_dot(kind: str, n: int, arcset: ArcSet | None = None) -> str:
         arcs = all_arcs(n)
         lines = ["digraph forcing {", "  rankdir=BT;"]
         lines.extend(f'  "{alpha}";' for alpha in arcs)
-        # alpha is covered by beta in the subarc order exactly when it is
-        # a subarc one shorter; each arc of length >= 2 covers two
         covers = sorted(
-            (
-                (alpha, beta)
-                for beta in arcs
-                for alpha in proper_subarcs(beta)
-                if beta.b - beta.a == alpha.b - alpha.a + 1
-            ),
+            ((alpha, beta) for beta in arcs for alpha in subarc_covers(beta)),
             key=lambda e: (arc_key(e[0]), arc_key(e[1])),
         )
         lines.extend(f'  "{alpha}" -> "{beta}";' for alpha, beta in covers)

@@ -54,6 +54,15 @@ def test_inverse_header_positional_ignores_missing_n(capsys):
     assert code == 0 and out == "46731528\n"
 
 
+def test_header_and_conflicting_n_exit_2(capsys, monkeypatch):
+    code, out, err = run(capsys, ["inverse", "n=3\n1-2", "--n", "5"])
+    assert (code, out) == (2, "") and err == "error: --n 5 does not match a diagram on 3 points\n"
+    code, out, err = run(capsys, ["render", "--ascii", "--n", "4"], stdin="n=3\n1-2\n", monkeypatch=monkeypatch)
+    assert (code, out) == (2, "") and "does not match" in err
+    code, out, _ = run(capsys, ["inverse", "n=3\n1-2", "--n", "3"])
+    assert code == 0 and out == "213\n"
+
+
 def test_inverse_bare_body_requires_n(capsys):
     code, _, err = run(capsys, ["inverse", "1-2"])
     assert code == 2

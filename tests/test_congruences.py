@@ -12,7 +12,6 @@ from arcdiag import (
     complex_faces,
     congruence_from_contracted,
     count_by_arcs,
-    forcing_edges,
     full_arc_set,
     has_pattern,
     inversions,
@@ -50,6 +49,20 @@ def test_closure_detects_missing_subarc():
     u = named_congruence(4, "tamari")
     broken = ArcSet(4, u.arcs - {make_arc(4, 1, 2, frozenset())})
     assert not is_subarc_closed(broken)
+
+
+@pytest.mark.parametrize("n", range(2, 6))
+def test_closure_check_matches_every_subarc(n):
+    # the one-step check against the definition: every subarc of a member
+    rng = random.Random(5000 + n)
+    arcs = all_arcs(n)
+    for _, u in random_congruences(n, 20, seed=4000 + n):
+        dropped = rng.sample(sorted(u.arcs, key=str), min(1, len(u.arcs)))
+        for members in (u.arcs, u.arcs - set(dropped)):
+            closed = all(
+                alpha in members for beta in members for alpha in arcs if is_subarc(alpha, beta)
+            )
+            assert is_subarc_closed(ArcSet(n, members)) == closed
 
 
 @pytest.mark.parametrize("n", range(3, 8))
@@ -241,23 +254,6 @@ def test_cambrian_counts_are_narayana(n):
         assert count_by_arcs(n, u).counts == row
 
 
-def test_forcing_edges_structure():
-    edges = forcing_edges(4)
-    arcs = set(all_arcs(4))
-    assert all(alpha in arcs and beta in arcs for alpha, beta in edges)
-    assert all(alpha != beta for alpha, beta in edges)
-    assert edges == frozenset(
-        (alpha, beta)
-        for alpha in arcs
-        for beta in arcs
-        if alpha != beta and is_subarc(alpha, beta)
-    )
-    for alpha, beta in edges:
-        for gamma, delta in edges:
-            if beta == gamma:
-                assert (alpha, delta) in edges
-
-
 def test_complex_faces_tamari_n3():
     u = named_congruence(3, "tamari")
     faces = list(complex_faces(3, u))
@@ -280,6 +276,7 @@ PRECONDITION_ENTRY_POINTS = {
     "project_up": lambda n, u: project_up(Permutation(tuple(range(1, n + 1))), u),
     "complex_faces": lambda n, u: list(complex_faces(n, u)),
     "count_by_arcs": count_by_arcs,
+    "minimal_contracted_generators": minimal_contracted_generators,
 }
 
 

@@ -10,7 +10,6 @@ from hypothesis import strategies as st
 from arcdiag import (
     Diagram,
     Permutation,
-    RenderStyle,
     all_permutations,
     arc_offsets,
     catalan,
@@ -27,6 +26,7 @@ from arcdiag import (
     render_ascii,
     render_svg,
 )
+from arcdiag.render import MARGIN, SPACING, UNIT
 
 perms = lambda n: st.permutations(range(1, n + 1)).map(lambda e: Permutation(tuple(e)))
 
@@ -108,16 +108,15 @@ def _waypoints(svg):
 
 
 def test_svg_waypoints_match_layout():
-    style = RenderStyle()
     svg = render_svg(FIG_DIAGRAM)
     offsets = arc_offsets(FIG_DIAGRAM)
     arcs = FIG_DIAGRAM.sorted_arcs()
     lo = min(o for per in offsets.values() for o in per.values())
-    cx = style.margin - lo * style.unit
+    cx = MARGIN - lo * UNIT
     for alpha, xs in zip(arcs, _waypoints(svg)):
         for h in range(alpha.a, alpha.b + 1):
-            y = style.margin + (FIG_DIAGRAM.n - h) * style.spacing
-            assert xs[y] == cx + style.unit * offsets[alpha][h]
+            y = MARGIN + (FIG_DIAGRAM.n - h) * SPACING
+            assert xs[y] == cx + UNIT * offsets[alpha][h]
 
 
 def test_offset_signs_follow_sides():
@@ -143,7 +142,6 @@ def test_forced_order_holds_at_every_shared_height(x):
 
 
 def test_gallery_n3_matches_side_data():
-    style = RenderStyle()
     diagrams = sorted(
         {diagram_from_permutation(x) for x in all_permutations(3)}, key=str
     )
@@ -155,15 +153,8 @@ def test_gallery_n3_matches_side_data():
         for alpha, xs in zip(d.sorted_arcs(), _waypoints(svg)):
             if alpha.interior:
                 cx = int(re.search(r'<circle cx="(\d+)"', svg).group(1))
-                y2 = style.margin + (3 - 2) * style.spacing
+                y2 = MARGIN + (3 - 2) * SPACING
                 assert (xs[y2] > cx) == (2 in alpha.left)
-
-
-def test_custom_style_changes_geometry():
-    style = RenderStyle(spacing=20, unit=10, margin=5, radius=2, stroke_width=1)
-    svg = render_svg(Diagram(4, frozenset()), style)
-    assert 'height="70"' in svg
-    assert 'r="2"' in svg
 
 
 def test_ascii_wide_offsets_stay_grid_aligned():
