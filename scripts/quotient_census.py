@@ -10,42 +10,33 @@ products, the single-inflection counts) can be eyeballed side by side.
 from __future__ import annotations
 
 import argparse
-from dataclasses import dataclass, field
 
 from arcdiag import count_by_arcs, full_arc_set, named_congruence
 
-
-@dataclass(frozen=True)
-class CensusConfig:
-    n_max: int = 7
-    by_arcs: bool = False
-    clump_bounds: tuple[int, ...] = (1, 2)
-    length_bounds: tuple[int, ...] = (2, 3)
-    orientations: tuple[str, ...] = ("alternating",)
+CLUMP_BOUNDS = (1, 2)
+LENGTH_BOUNDS = (2, 3)
 
 
-def families(config: CensusConfig, n: int):
+def families(n: int):
     yield "full", full_arc_set(n)
     yield "tamari", named_congruence(n, "tamari")
     yield "baxter", named_congruence(n, "baxter")
-    for k in config.clump_bounds:
+    for k in CLUMP_BOUNDS:
         yield f"clumped:{k}", named_congruence(n, "clumped", k=k)
-    for k in config.length_bounds:
+    for k in LENGTH_BOUNDS:
         if k <= n:
             yield f"maxlen:{k}", named_congruence(n, "maxlen", k=k)
-    for name in config.orientations:
-        if name == "alternating":
-            orientation = ("LR" * n)[:n]
-            yield f"cambrian:{orientation}", named_congruence(n, "cambrian", orientation=orientation)
+    alternating = ("LR" * n)[:n]
+    yield f"cambrian:{alternating}", named_congruence(n, "cambrian", orientation=alternating)
 
 
-def run(config: CensusConfig) -> None:
-    for n in range(1, config.n_max + 1):
+def run(n_max: int, by_arcs: bool) -> None:
+    for n in range(1, n_max + 1):
         print(f"n={n}")
-        for label, arcset in families(config, n):
+        for label, arcset in families(n):
             table = count_by_arcs(n, arcset)
             line = f"  {label:<16} {table.total:>8}"
-            if config.by_arcs:
+            if by_arcs:
                 line += "  " + ",".join(str(c) for c in table.counts)
             print(line)
 
@@ -55,7 +46,7 @@ def main() -> None:
     parser.add_argument("--n-max", type=int, default=7)
     parser.add_argument("--by-arcs", action="store_true", help="append per-arc-count rows")
     args = parser.parse_args()
-    run(CensusConfig(n_max=args.n_max, by_arcs=args.by_arcs))
+    run(args.n_max, args.by_arcs)
 
 
 if __name__ == "__main__":

@@ -3,14 +3,13 @@
 from .arcs import (
     Arc,
     ArcSet,
-    ArcStats,
     all_arcs,
     arc_from_ji,
     arc_key,
-    arc_stats,
     compatible,
     forces_right_of,
     incompatibility_reason,
+    inflections,
     is_subarc,
     ji_from_arc,
     make_arc,
@@ -21,7 +20,6 @@ from .congruences import (
     congruence_from_contracted,
     full_arc_set,
     has_pattern,
-    is_subarc_closed,
     minimal_contracted_generators,
     named_congruence,
     project_down,

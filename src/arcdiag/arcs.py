@@ -237,30 +237,11 @@ def subarc_covers(beta: Arc) -> tuple[Arc, ...]:
     )
 
 
-@dataclass(frozen=True)
-class ArcStats:
-    length: int
-    inflections: int
-    is_left: bool
-    is_right: bool
+def inflections(alpha: Arc) -> int:
+    """Side changes between consecutive interior points.
 
-
-def arc_stats(alpha: Arc) -> ArcStats:
-    """Length b - a, side changes between consecutive interior points,
-    and the one-sided flags (left arcs keep every interior point on the
-    left, right arcs on the right).
-
-    >>> arc_stats(make_arc(9, 4, 8, {6}))
-    ArcStats(length=4, inflections=2, is_left=False, is_right=False)
+    >>> inflections(make_arc(9, 4, 8, {6}))
+    2
     """
-    inflections = sum(
-        1
-        for p in range(alpha.a + 1, alpha.b - 1)
-        if (p in alpha.right) != (p + 1 in alpha.right)
-    )
-    return ArcStats(
-        length=alpha.b - alpha.a,
-        inflections=inflections,
-        is_left=not alpha.right,
-        is_right=not alpha.left,
-    )
+    right = alpha.right
+    return sum((p in right) != (p + 1 in right) for p in range(alpha.a + 1, alpha.b - 1))

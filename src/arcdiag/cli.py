@@ -5,9 +5,10 @@ Every subcommand prints plain text on stdout and returns an exit code:
 (bad flags, malformed text, out-of-range sizes).  `delta`, `inverse` and
 `render` take any n >= 1: their work grows polynomially with n.  The
 commands whose work grows with all arcs or all of S_n (`enumerate`,
-`complex`, `export`, `verify`, and `project`, whose congruence spec
-lists all 2^n - n - 1 arcs) refuse sizes above the cap in ARCDIAG_MAX_N
-(default 9) up front; `verify` stops at VERIFY_MAX_N (8) below that.
+`complex`, `export`, `verify`, and `project`, whose `baxter`, `clumped`
+and `maxlen` specs filter all 2^n - n - 1 arcs) refuse sizes above the
+cap in ARCDIAG_MAX_N (default 9) up front; `verify` stops at
+VERIFY_MAX_N (8) below that.
 """
 from __future__ import annotations
 
@@ -16,12 +17,11 @@ import os
 import sys
 
 from .arcs import arc_key
-from .congruences import complex_faces
+from .congruences import complex_faces, project_down
 from .counting import VERIFY_MAX_N, count_by_arcs, full_arc_set, verify_report
 from .diagrams import Diagram, diagram_from_permutation, enumerate_diagrams, permutation_from_diagram
 from .render import export_dot, render_ascii, render_svg
 from .textforms import (
-    ParseError,
     format_diagram,
     format_diagram_body,
     format_permutation,
@@ -35,13 +35,13 @@ DEFAULT_MAX_N = 9
 
 
 def _max_n() -> int:
-    raw = os.environ.get("ARCDIAG_MAX_N")
-    if raw is None or not raw.strip():
+    raw = os.environ.get("ARCDIAG_MAX_N", "").strip()
+    if not raw:
         return DEFAULT_MAX_N
-    try:
-        return int(raw)
-    except ValueError:
-        raise ValueError(f"ARCDIAG_MAX_N must be an integer, not {raw!r}") from None
+    # ASCII digits only, as in every parser: int() also takes "1_0", "-1" and "٣"
+    if not (raw.isascii() and raw.isdigit()) or int(raw) < 1:
+        raise ValueError(f"ARCDIAG_MAX_N must be an integer of at least 1, not {raw!r}")
+    return int(raw)
 
 
 def _check_n(n: int) -> int:
@@ -106,8 +106,6 @@ def _cmd_project(args: argparse.Namespace) -> int:
     if args.n is not None and args.n != x.n:
         raise ValueError(f"--n {args.n} does not match a permutation of {x.n}")
     arcset = parse_congruence_spec(args.congruence, x.n)
-    from .congruences import project_down
-
     print(format_permutation(project_down(x, arcset)))
     return 0
 
@@ -215,9 +213,6 @@ def dispatch(argv: list[str] | None = None) -> int:
         return int(exc.code or 0)
     try:
         return args.handler(args)
-    except ParseError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -19,12 +19,11 @@ exactly when it contracts that descent's arc, the cover's label.  Walks
 swapping contracted descents (ascents) reach class bottoms (tops), and
 the quotient's covers are the bottoms of the upper covers of each top.
 
-Named families:
+Named families come from three rules:
 
-* ``tamari``      left arcs only
-* ``cambrian``    per-point orientation; each interior crossing is forced
-* ``baxter``      arcs with no inflection (one-sided arcs)
-* ``clumped(k)``  arcs with at most k inflections
+* ``cambrian``    per-point orientation, one arc per pair a < b;
+                  ``tamari`` is the orientation R...R (left arcs only)
+* ``clumped(k)``  arcs with at most k inflections; ``baxter`` is k = 0
 * ``maxlen(k)``   arcs of length below k
 """
 from __future__ import annotations
@@ -35,7 +34,7 @@ from .arcs import (
     Arc,
     ArcSet,
     all_arcs,
-    arc_stats,
+    inflections,
     is_subarc,
     subarc_covers,
 )
@@ -48,16 +47,11 @@ def full_arc_set(n: int) -> ArcSet:
     return ArcSet(n, frozenset(all_arcs(n)))
 
 
-def is_subarc_closed(arcset: ArcSet) -> bool:
-    """Whether every subarc of a member is again a member."""
-    return arcset.subarc_closed
-
-
 def _require_congruence(n: int, arcset: ArcSet) -> None:
     """Raise unless `arcset` lives on n points and is closed under subarcs."""
     if arcset.n != n:
         raise ValueError(f"arc set lives on {arcset.n} points, not {n}")
-    if not is_subarc_closed(arcset):
+    if not arcset.subarc_closed:
         raise ValueError("arc set is not closed under subarcs")
 
 
@@ -184,39 +178,36 @@ def named_congruence(
     """Build one of the named congruence families on n points.
 
     ``cambrian`` needs `orientation`, a string over {L, R} of length n;
-    an arc survives when every interior point tagged R stays on its left
-    and every point tagged L stays on its right.  ``clumped`` and
-    ``maxlen`` need the bound `k`.
+    its arcs pass every interior point tagged R on their left and every
+    point tagged L on their right, one arc per pair a < b.  ``clumped``
+    and ``maxlen`` need the bound `k`.  ``tamari`` is ``cambrian`` with
+    every point tagged R, and ``baxter`` is ``clumped`` with k = 0.
 
     >>> str(named_congruence(3, "tamari"))
     '1-2;1-3:L;2-3'
     >>> named_congruence(3, "cambrian", orientation="RRR") == named_congruence(3, "tamari")
     True
     """
-    arcs = all_arcs(n)
     if name == "tamari":
-        members = [alpha for alpha in arcs if not alpha.right]
-    elif name == "cambrian":
+        name, orientation = "cambrian", "R" * n
+    elif name == "baxter":
+        name, k = "clumped", 0
+    if name == "cambrian":
         if orientation is None or len(orientation) != n or set(orientation) - set("LR"):
             raise ValueError(f"cambrian needs an orientation over L/R of length {n}")
         members = [
-            alpha
-            for alpha in arcs
-            if all(
-                (p in alpha.left) == (orientation[p - 1] == "R")
-                for p in alpha.interior
-            )
+            Arc(n, a, b, frozenset(p for p in range(a + 1, b) if orientation[p - 1] == "L"))
+            for a in range(1, n)
+            for b in range(a + 1, n + 1)
         ]
-    elif name == "baxter":
-        members = [alpha for alpha in arcs if arc_stats(alpha).inflections == 0]
     elif name == "clumped":
         if k is None or k < 0:
             raise ValueError("clumped needs a bound k >= 0")
-        members = [alpha for alpha in arcs if arc_stats(alpha).inflections <= k]
+        members = [alpha for alpha in all_arcs(n) if inflections(alpha) <= k]
     elif name == "maxlen":
         if k is None or k < 1:
             raise ValueError("maxlen needs a bound k >= 1")
-        members = [alpha for alpha in arcs if alpha.b - alpha.a < k]
+        members = [alpha for alpha in all_arcs(n) if alpha.b - alpha.a < k]
     else:
         raise ValueError(f"unknown congruence family {name!r}")
     return ArcSet(n, frozenset(members))

@@ -311,25 +311,23 @@ def _count_cliques(allowed: int, later: list[int], width: int, memo: dict[int, i
 
 @dataclass(frozen=True)
 class DiagramClass:
-    arc_count: int
     is_matching: bool
     is_perfect_matching: bool
 
 
 def classify_diagram(diagram: Diagram) -> DiagramClass:
-    """Arc count plus matching flags.
+    """Matching flags.
 
     A matching uses every point at most once as an endpoint; a perfect
     matching uses every point exactly once.
 
     >>> d = validate_diagram(4, [Arc(4, 1, 2, frozenset()), Arc(4, 3, 4, frozenset())])
     >>> classify_diagram(d)
-    DiagramClass(arc_count=2, is_matching=True, is_perfect_matching=True)
+    DiagramClass(is_matching=True, is_perfect_matching=True)
     """
     endpoints = [p for alpha in diagram.arcs for p in (alpha.a, alpha.b)]
     is_matching = len(endpoints) == len(set(endpoints))
     return DiagramClass(
-        arc_count=len(diagram.arcs),
         is_matching=is_matching,
         is_perfect_matching=is_matching and len(endpoints) == diagram.n,
     )

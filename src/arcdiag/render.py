@@ -10,6 +10,7 @@ order, so curves never cross.  Output depends only on the input values.
 from __future__ import annotations
 
 from .arcs import Arc, ArcSet, arc_key, all_arcs, forces_right_of, subarc_covers
+from .congruences import project_down, project_up, uncontracted_permutations
 from .diagrams import Diagram
 from .perms import all_permutations, upper_covers
 
@@ -179,8 +180,6 @@ def export_dot(kind: str, n: int, arcset: ArcSet | None = None) -> str:
                 for y in sorted(upper_covers(x), key=lambda p: p.entries)
             ]
         else:
-            from .congruences import project_down, project_up, uncontracted_permutations
-
             # the upper covers of a class top lead into exactly the classes covering it
             elements = list(uncontracted_permutations(n, arcset))
             covers = sorted(

@@ -10,11 +10,11 @@ from arcdiag import (
     all_arcs,
     all_permutations,
     arc_from_ji,
-    arc_stats,
     compatible,
     descents,
     forces_right_of,
     incompatibility_reason,
+    inflections,
     is_join_irreducible,
     is_subarc,
     ji_from_arc,
@@ -177,15 +177,13 @@ def test_subarc_examples():
     assert not is_subarc(make_arc(9, 4, 8, frozenset()), outer)
 
 
-def test_arc_stats_fields():
-    s = arc_stats(make_arc(9, 3, 9, {6}))
-    assert s.length == 6
-    assert s.inflections == 2
-    assert not s.is_left and not s.is_right
-    t = arc_stats(make_arc(5, 2, 5, frozenset()))
-    assert t.inflections == 0 and t.is_left and not t.is_right
-    u = arc_stats(make_arc(4, 1, 2, frozenset()))
-    assert u.is_left and u.is_right
+def test_inflections_examples():
+    assert inflections(make_arc(9, 3, 9, {6})) == 2
+    assert inflections(make_arc(9, 3, 9, {6, 7, 8})) == 1
+    assert inflections(make_arc(5, 2, 5, frozenset())) == 0
+    assert inflections(make_arc(5, 1, 5, {2, 3, 4})) == 0
+    assert inflections(make_arc(6, 1, 6, {3, 5})) == 3
+    assert inflections(make_arc(4, 1, 2, frozenset())) == 0
 
 
 @given(st.integers(3, 9).flatmap(lambda n: st.tuples(arcs_st(n), arcs_st(n))))

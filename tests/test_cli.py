@@ -215,23 +215,30 @@ def test_help_exits_zero(capsys):
 
 
 def test_size_cap_from_environment(capsys, monkeypatch):
-    monkeypatch.setenv("ARCDIAG_MAX_N", "5")
-    code, _, err = run(capsys, ["enumerate", "--n", "6"])
-    assert code == 2 and "ARCDIAG_MAX_N" in err
-    code, out, _ = run(capsys, ["enumerate", "--n", "5"])
-    assert code == 0
+    for raw in ("5", " 5 "):
+        monkeypatch.setenv("ARCDIAG_MAX_N", raw)
+        code, _, err = run(capsys, ["enumerate", "--n", "6"])
+        assert code == 2 and "ARCDIAG_MAX_N" in err
+        code, out, _ = run(capsys, ["enumerate", "--n", "5"])
+        assert code == 0
 
 
 def test_size_cap_default_is_nine(capsys, monkeypatch):
     monkeypatch.delenv("ARCDIAG_MAX_N", raising=False)
     code, _, err = run(capsys, ["enumerate", "--n", "10"])
     assert code == 2 and "between 1 and 9" in err
+    for raw in ("", "  "):
+        monkeypatch.setenv("ARCDIAG_MAX_N", raw)
+        code, _, err = run(capsys, ["enumerate", "--n", "10"])
+        assert code == 2 and "between 1 and 9" in err
 
 
 def test_size_cap_garbage_value(capsys, monkeypatch):
-    monkeypatch.setenv("ARCDIAG_MAX_N", "many")
-    code, _, err = run(capsys, ["enumerate", "--n", "3"])
-    assert code == 2 and "integer" in err
+    # int() would read "1_0" as 10 and "٣" as 3; a cap below 1 admits nothing
+    for raw in ("many", "1_0", "٣", "0", "-1"):
+        monkeypatch.setenv("ARCDIAG_MAX_N", raw)
+        code, _, err = run(capsys, ["enumerate", "--n", "3"])
+        assert code == 2 and "integer" in err, raw
 
 
 def test_polynomial_commands_ignore_size_cap(capsys, monkeypatch):

@@ -16,13 +16,13 @@ from arcdiag import (
     has_pattern,
     inversions,
     is_subarc,
-    is_subarc_closed,
     ji_from_arc,
     join,
     make_arc,
     minimal_contracted_generators,
     named_congruence,
     narayana,
+    parse_congruence_spec,
     project_down,
     project_up,
     uncontracted_by_avoidance,
@@ -42,13 +42,13 @@ def test_full_arc_set_is_closed():
     for n in range(2, 8):
         u = full_arc_set(n)
         assert len(u.arcs) == 2**n - n - 1
-        assert is_subarc_closed(u)
+        assert u.subarc_closed
 
 
 def test_closure_detects_missing_subarc():
     u = named_congruence(4, "tamari")
     broken = ArcSet(4, u.arcs - {make_arc(4, 1, 2, frozenset())})
-    assert not is_subarc_closed(broken)
+    assert not broken.subarc_closed
 
 
 @pytest.mark.parametrize("n", range(2, 6))
@@ -62,13 +62,13 @@ def test_closure_check_matches_every_subarc(n):
             closed = all(
                 alpha in members for beta in members for alpha in arcs if is_subarc(alpha, beta)
             )
-            assert is_subarc_closed(ArcSet(n, members)) == closed
+            assert ArcSet(n, members).subarc_closed == closed
 
 
 @pytest.mark.parametrize("n", range(3, 8))
 def test_contraction_yields_closed_sets(n):
     for gens, u in random_congruences(n, 25, seed=1000 + n):
-        assert is_subarc_closed(u)
+        assert u.subarc_closed
         assert not any(g in u.arcs for g in gens)
         for alpha in all_arcs(n):
             contracted = any(is_subarc(g, alpha) for g in gens)
@@ -125,7 +125,7 @@ def test_avoidance_route_matches_delta_route(n):
 )
 def test_named_families_are_closed(name, kwargs):
     u = named_congruence(5, name, **kwargs)
-    assert is_subarc_closed(u)
+    assert u.subarc_closed
     assert list(uncontracted_permutations(5, u)) == list(uncontracted_by_avoidance(5, u))
 
 
@@ -141,6 +141,52 @@ def test_named_family_relations():
             cur = named_congruence(n, "clumped", k=k)
             assert prev.arcs <= cur.arcs
             prev = cur
+
+
+def oracle_keep(spec):
+    """The per-arc filter of a spec, written from each family's definition."""
+    name, _, payload = spec.partition(":")
+    if name == "tamari":
+        return lambda alpha: not alpha.right
+    if name == "cambrian":
+        return lambda alpha: all(
+            (p in alpha.left) == (payload[p - 1] == "R") for p in alpha.interior
+        )
+    if name == "maxlen":
+        return lambda alpha: alpha.b - alpha.a < int(payload)
+    bound = 0 if name == "baxter" else int(payload)
+
+    def keep(alpha):
+        sides = [p in alpha.right for p in range(alpha.a + 1, alpha.b)]
+        return sum(s != t for s, t in zip(sides, sides[1:])) <= bound
+
+    return keep
+
+
+def family_specs(n):
+    yield from ("tamari", "baxter")
+    yield from (f"clumped:{k}" for k in range(4))
+    yield from (f"maxlen:{k}" for k in range(1, n + 1))
+    if n <= 8:
+        orientations = ["".join(o) for o in itertools.product("LR", repeat=n)]
+    else:
+        orientations = [("LR" * n)[:n], ("RL" * n)[:n], "L" * (n // 2) + "R" * (n - n // 2)]
+    yield from (f"cambrian:{o}" for o in orientations)
+
+
+@pytest.mark.parametrize("n", range(1, 11))
+def test_named_families_match_filter_oracle(n):
+    arcs = all_arcs(n)
+    for spec in family_specs(n):
+        keep = oracle_keep(spec)
+        assert parse_congruence_spec(spec, n).arcs == {alpha for alpha in arcs if keep(alpha)}, spec
+
+
+@pytest.mark.parametrize("spec", ["tamari", "cambrian:" + "LR" * 100], ids=["tamari", "alternating"])
+def test_cambrian_sets_are_generated_not_filtered(spec, monkeypatch):
+    for target in ("arcdiag.arcs.all_arcs", "arcdiag.congruences.all_arcs"):
+        monkeypatch.setattr(target, lambda n: pytest.fail("all_arcs called"))
+    assert len(parse_congruence_spec(spec, 200).arcs) == 19_900
 
 
 def test_named_congruence_rejects_bad_args():

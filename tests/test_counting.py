@@ -9,7 +9,6 @@ from arcdiag import (
     ArcSet,
     all_arcs,
     all_permutations,
-    arc_stats,
     baxter_number,
     catalan,
     compatible,
@@ -19,6 +18,7 @@ from arcdiag import (
     enumerate_diagrams,
     eulerian,
     full_arc_set,
+    inflections,
     make_arc,
     named_congruence,
     narayana,
@@ -113,9 +113,9 @@ def test_verify_report_text_and_json():
     assert all({"name", "n", "expected", "observed", "passed"} <= set(r) for r in doc["checks"])
 
 
-def test_arc_stats_drive_zero_inflection_count():
+def test_inflections_drive_zero_inflection_count():
     u = full_arc_set(4)
-    zero = [alpha for alpha in u.arcs if arc_stats(alpha).inflections == 0]
+    zero = [alpha for alpha in u.arcs if inflections(alpha) == 0]
     assert frozenset(zero) == named_congruence(4, "baxter").arcs
 
 
