@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import argparse
 import html
-from dataclasses import dataclass
 from pathlib import Path
 
 from arcdiag import (
@@ -24,21 +23,13 @@ from arcdiag import (
 from arcdiag.textforms import parse_congruence_spec
 
 
-@dataclass(frozen=True)
-class GalleryConfig:
-    n: int
-    out: Path
-    congruence: str | None = None
-    ascii_mode: bool = False
-
-
-def run(config: GalleryConfig) -> None:
-    arcset = parse_congruence_spec(config.congruence, config.n) if config.congruence else None
+def run(n: int, out: Path, congruence: str | None, ascii_mode: bool) -> None:
+    arcset = parse_congruence_spec(congruence, n) if congruence else None
     diagrams = sorted(
-        enumerate_diagrams(config.n, arcset),
+        enumerate_diagrams(n, arcset),
         key=lambda d: permutation_from_diagram(d).entries,
     )
-    if config.ascii_mode:
+    if ascii_mode:
         for d in diagrams:
             word = format_permutation(permutation_from_diagram(d))
             print(f"{word}  {format_diagram_body(d)}")
@@ -47,12 +38,12 @@ def run(config: GalleryConfig) -> None:
         print(f"{len(diagrams)} diagrams")
         return
 
-    config.out.mkdir(parents=True, exist_ok=True)
+    out.mkdir(parents=True, exist_ok=True)
     rows = []
     for d in diagrams:
         word = format_permutation(permutation_from_diagram(d))
         name = f"{word.replace(',', '-')}.svg"
-        (config.out / name).write_text(render_svg(d), encoding="utf-8")
+        (out / name).write_text(render_svg(d), encoding="utf-8")
         caption = html.escape(f"{word}  {format_diagram_body(d)}".rstrip())
         rows.append(
             f'<figure><img src="{name}" alt="{caption}"><figcaption>{caption}</figcaption></figure>'
@@ -62,8 +53,8 @@ def run(config: GalleryConfig) -> None:
         "<style>figure{display:inline-block;margin:8px;text-align:center;"
         "font-family:monospace}</style>\n" + "\n".join(rows) + "\n"
     )
-    (config.out / "index.html").write_text(index, encoding="utf-8")
-    print(f"wrote {len(diagrams)} diagrams to {config.out}/")
+    (out / "index.html").write_text(index, encoding="utf-8")
+    print(f"wrote {len(diagrams)} diagrams to {out}/")
 
 
 def main() -> None:
@@ -73,7 +64,7 @@ def main() -> None:
     parser.add_argument("--out", type=Path, default=Path("gallery"))
     parser.add_argument("--ascii", action="store_true", help="print ASCII art to stdout instead of writing SVGs")
     args = parser.parse_args()
-    run(GalleryConfig(n=args.n, out=args.out, congruence=args.congruence, ascii_mode=args.ascii))
+    run(args.n, args.out, args.congruence, args.ascii)
 
 
 if __name__ == "__main__":

@@ -6,12 +6,14 @@ from .arcs import (
     all_arcs,
     arc_from_ji,
     arc_key,
+    canonical_joinands,
     compatible,
     forces_right_of,
     incompatibility_reason,
     inflections,
     is_subarc,
     ji_from_arc,
+    joinand_at,
     make_arc,
     subarc_covers,
 )
@@ -54,14 +56,12 @@ from .perms import (
     InversionSet,
     Permutation,
     all_permutations,
-    canonical_joinands,
     descents,
     identity,
     inversions,
     is_join_irreducible,
     is_valid_inversion_set,
     join,
-    joinand_at,
     lower_covers,
     meet,
     permutation_from_inversions,

@@ -7,9 +7,13 @@ right side; the left side is the complement within the interior.
 
 Arcs are exactly the join-irreducible permutations in disguise: a single
 descent b > a with the values strictly between them split into those
-before the descent (left side) and after it (right side).  Two arcs are
-compatible when some noncrossing diagram contains both, which reduces to
-a finite check on shared endpoints and side-forcing witness points.
+before the descent (left side) and after it (right side).  The same rule
+labels every weak-order cover by an arc, so a permutation's canonical
+joinands live here too: each is the permutation of a descent's arc.
+
+Two arcs are compatible when some noncrossing diagram contains both,
+which reduces to a finite check on shared endpoints and side-forcing
+witness points.
 """
 from __future__ import annotations
 
@@ -17,7 +21,7 @@ from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterable
 
-from .perms import Permutation, descents
+from .perms import Permutation, descents, positions
 
 
 @dataclass(frozen=True)
@@ -122,8 +126,21 @@ def all_arcs(n: int) -> list[Arc]:
     return out
 
 
+def _cover_label(x: Permutation, pos: tuple[int, ...], i: int) -> Arc:
+    """The arc labelling the weak-order cover that swaps positions i and i+1 of x.
+
+    It is the arc of the upper end's joinand at descent i, given `pos =
+    positions(x)`; the swap moves no in-between value, so x may be either end.
+    """
+    e = x.entries
+    b, a = e[i - 1], e[i]
+    if a > b:
+        a, b = b, a
+    return Arc(len(e), a, b, frozenset(v for v in range(a + 1, b) if pos[v - 1] > i + 1))
+
+
 def arc_from_ji(x: Permutation) -> Arc:
-    """The arc of a join-irreducible permutation.
+    """The arc of a join-irreducible permutation: the cover label at its one descent.
 
     The single descent b > a gives the endpoints; an interior value sits
     on the left exactly when it appears before the descent.
@@ -134,10 +151,7 @@ def arc_from_ji(x: Permutation) -> Arc:
     ds = descents(x)
     if len(ds) != 1:
         raise ValueError(f"{x} has {len(ds)} descents, join-irreducibles have exactly 1")
-    i = ds[0]
-    b, a = x.entries[i - 1], x.entries[i]
-    right = frozenset(v for v in x.entries[i + 1 :] if a < v < b)
-    return Arc(x.n, a, b, right)
+    return _cover_label(x, positions(x), ds[0])
 
 
 def ji_from_arc(alpha: Arc) -> Permutation:
@@ -154,6 +168,32 @@ def ji_from_arc(alpha: Arc) -> Permutation:
         + tuple(range(alpha.b + 1, alpha.n + 1))
     )
     return Permutation(word)
+
+
+def joinand_at(x: Permutation, i: int) -> Permutation:
+    """The canonical joinand of x attached to the descent at position i.
+
+    It is the minimal permutation weakly below x whose inversions include
+    (x_i, x_{i+1}): the permutation of the arc labelling that descent.
+
+    >>> str(joinand_at(Permutation((3, 4, 2, 1)), 2))
+    '1342'
+    >>> str(joinand_at(Permutation((3, 4, 2, 1)), 3))
+    '2134'
+    """
+    if i not in descents(x):
+        raise ValueError(f"position {i} is not a descent of {x}")
+    return ji_from_arc(_cover_label(x, positions(x), i))
+
+
+def canonical_joinands(x: Permutation) -> frozenset[Permutation]:
+    """One joinand per descent; the unique irredundant minimal join representation.
+
+    >>> sorted(str(j) for j in canonical_joinands(Permutation((3, 4, 2, 1))))
+    ['1342', '2134']
+    """
+    pos = positions(x)
+    return frozenset(ji_from_arc(_cover_label(x, pos, i)) for i in descents(x))
 
 
 def forces_right_of(first: Arc, second: Arc) -> int | None:

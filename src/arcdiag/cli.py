@@ -39,9 +39,14 @@ def _max_n() -> int:
     if not raw:
         return DEFAULT_MAX_N
     # ASCII digits only, as in every parser: int() also takes "1_0", "-1" and "٣"
-    if not (raw.isascii() and raw.isdigit()) or int(raw) < 1:
-        raise ValueError(f"ARCDIAG_MAX_N must be an integer of at least 1, not {raw!r}")
-    return int(raw)
+    try:
+        limit = int(raw) if raw.isascii() and raw.isdigit() else 0
+    except ValueError:  # more digits than sys.get_int_max_str_digits()
+        limit = 0
+    if limit < 1:
+        shown = raw if len(raw) <= 40 else f"{raw[:20]}...{raw[-10:]}"
+        raise ValueError(f"ARCDIAG_MAX_N must be an integer of at least 1, not {shown!r}")
+    return limit
 
 
 def _check_n(n: int) -> int:

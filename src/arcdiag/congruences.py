@@ -33,12 +33,13 @@ from typing import Iterable, Iterator
 from .arcs import (
     Arc,
     ArcSet,
+    _cover_label,
     all_arcs,
     inflections,
     is_subarc,
     subarc_covers,
 )
-from .diagrams import _cover_label, diagram_from_permutation, enumerate_diagrams
+from .diagrams import diagram_from_permutation, enumerate_diagrams
 from .perms import Permutation, all_permutations, descents, positions
 
 

@@ -19,7 +19,7 @@ import math
 from dataclasses import dataclass
 from typing import Iterable, Iterator
 
-from .arcs import Arc, ArcSet, arc_key, all_arcs, incompatibility_reason
+from .arcs import Arc, ArcSet, _cover_label, arc_key, all_arcs, incompatibility_reason
 from .perms import Permutation, descents, positions
 
 
@@ -53,19 +53,6 @@ def diagram_from_permutation(x: Permutation) -> Diagram:
     """
     pos = positions(x)
     return Diagram(x.n, frozenset([_cover_label(x, pos, i) for i in descents(x)]))
-
-
-def _cover_label(x: Permutation, pos: tuple[int, ...], i: int) -> Arc:
-    """The arc labelling the weak-order cover that swaps positions i and i+1 of x.
-
-    It is the arc of the upper end's joinand at descent i, given `pos =
-    positions(x)`; the swap moves no in-between value, so x may be either end.
-    """
-    e = x.entries
-    b, a = e[i - 1], e[i]
-    if a > b:
-        a, b = b, a
-    return Arc(len(e), a, b, frozenset(v for v in range(a + 1, b) if pos[v - 1] > i + 1))
 
 
 @dataclass(frozen=True)

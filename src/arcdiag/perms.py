@@ -5,12 +5,15 @@ inversion sets, where an inversion of x is a pair (b, a) with b > a and
 b appearing before a in one-line notation.  Under this order S_n is a
 lattice: the join of a family is decoded from the transitive closure of
 the union of their inversion sets, and the meet is the join computed in
-the reversed word.
+the reversed word.  The lattice works on one encoding of an inversion
+set, a bit mask per value of the smaller values it inverts, and one
+decoder turns masks back into a permutation or rejects them.
 
 Every permutation is the join of one join-irreducible permutation per
 descent, its canonical joinands.  The joinand attached to descent i is
 the unique weak-order-minimal permutation having (x_i, x_{i+1}) as an
-inversion while staying below x; `joinand_at` builds it directly.
+inversion while staying below x; each joinand is the permutation of an
+arc, so `arcs` builds them.
 
 Positions and values are 1-based throughout.
 """
@@ -18,7 +21,6 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from functools import cmp_to_key
 from typing import Iterable, Iterator
 
 
@@ -123,7 +125,7 @@ def weak_leq(x: Permutation, y: Permutation) -> bool:
     """x is below y in the weak order: inversions(x) is a subset."""
     if x.n != y.n:
         raise ValueError(f"mixed sizes: {x.n} and {y.n}")
-    return inversions(x).pairs <= inversions(y).pairs
+    return all(mx & ~my == 0 for mx, my in zip(_masks(x), _masks(y)))
 
 
 def descents(x: Permutation) -> tuple[int, ...]:
@@ -139,45 +141,6 @@ def descents(x: Permutation) -> tuple[int, ...]:
 def is_join_irreducible(x: Permutation) -> bool:
     """True when x covers exactly one element, i.e. has a single descent."""
     return len(descents(x)) == 1
-
-
-def joinand_at(x: Permutation, i: int) -> Permutation:
-    """The canonical joinand of x attached to the descent at position i.
-
-    Writing b = x_i and a = x_{i+1}, the joinand lists 1..a-1, then the
-    values between a and b appearing before the descent in increasing
-    order, then b, a, then the remaining values between a and b in
-    increasing order, then b+1..n.  It is the minimal permutation weakly
-    below x whose inversions include (b, a).
-
-    >>> str(joinand_at(Permutation((3, 4, 2, 1)), 2))
-    '1342'
-    >>> str(joinand_at(Permutation((3, 4, 2, 1)), 3))
-    '2134'
-    """
-    e = x.entries
-    if i not in descents(x):
-        raise ValueError(f"position {i} is not a descent of {x}")
-    b, a = e[i - 1], e[i]
-    before = sorted(v for v in e[: i - 1] if a < v < b)
-    after = sorted(v for v in e[i + 1 :] if a < v < b)
-    word = (
-        tuple(range(1, a))
-        + tuple(before)
-        + (b, a)
-        + tuple(after)
-        + tuple(range(b + 1, x.n + 1))
-    )
-    return Permutation(word)
-
-
-def canonical_joinands(x: Permutation) -> frozenset[Permutation]:
-    """One joinand per descent; the unique irredundant minimal join representation.
-
-    >>> sorted(str(j) for j in canonical_joinands(Permutation((3, 4, 2, 1))))
-    ['1342', '2134']
-    """
-    return frozenset(joinand_at(x, i) for i in descents(x))
 
 
 def upper_covers(x: Permutation) -> frozenset[Permutation]:
@@ -200,88 +163,63 @@ def lower_covers(x: Permutation) -> frozenset[Permutation]:
     return frozenset(out)
 
 
-def _below_masks(inv: InversionSet) -> list[int]:
-    """below[b] has bit a set when (b, a) is a pair; index 0 unused."""
+def _masks(x: Permutation) -> list[int]:
+    """below[v] has bit u set when v > u and v comes before u; index 0 unused."""
+    below = [0] * (x.n + 1)
+    seen = 0  # the values right of the current one
+    for v in reversed(x.entries):
+        below[v] = seen & ((1 << v) - 1)
+        seen |= 1 << v
+    return below
+
+
+def _pair_masks(inv: InversionSet) -> list[int]:
+    """The masks of `_masks` for an arbitrary pair set."""
     below = [0] * (inv.n + 1)
     for b, a in inv.pairs:
         below[b] |= 1 << a
     return below
 
 
-def _pairs_from_masks(n: int, below: list[int]) -> frozenset[tuple[int, int]]:
-    pairs = []
-    for b in range(2, n + 1):
-        m = below[b]
-        while m:
-            a = (m & -m).bit_length() - 1
-            m &= m - 1
-            pairs.append((b, a))
-    return frozenset(pairs)
+def _decode(below: list[int]) -> Permutation:
+    """The permutation whose `_masks` are `below`; ValueError when there is none.
 
+    Each value is placed by counting the values the masks put before it:
+    the smaller ones it does not invert and the larger ones that invert
+    it.  Masks no permutation has still order the values, so the order's
+    own masks must give `below` back.
+    """
+    n = len(below) - 1
 
-def transitive_closure(inv: InversionSet) -> InversionSet:
-    """Smallest superset closed under (c,b),(b,a) implies (c,a)."""
-    below = _below_masks(inv)
-    # all members of below[b] are < b, so one ascending pass saturates
-    for b in range(2, inv.n + 1):
-        m = below[b]
-        while m:
-            a = (m & -m).bit_length() - 1
-            m &= m - 1
-            below[b] |= below[a]
-    return InversionSet(inv.n, _pairs_from_masks(inv.n, below))
+    def before(v: int) -> int:
+        return v - 1 - below[v].bit_count() + sum(below[w] >> v & 1 for w in range(v + 1, n + 1))
 
-
-def _is_cotransitive(n: int, below: list[int]) -> bool:
-    # (c,a) present forces, for every a < b < c, (c,b) or (b,a) present
-    above = [0] * (n + 1)
-    for b in range(2, n + 1):
-        m = below[b]
-        while m:
-            a = (m & -m).bit_length() - 1
-            m &= m - 1
-            above[a] |= 1 << b
-    for c in range(3, n + 1):
-        m = below[c]
-        while m:
-            a = (m & -m).bit_length() - 1
-            m &= m - 1
-            between = ((1 << c) - 1) & ~((1 << (a + 1)) - 1)
-            if between & ~(below[c] | above[a]):
-                return False
-    return True
+    x = Permutation(tuple(sorted(range(1, n + 1), key=before)))
+    if _masks(x) != below:
+        raise ValueError("pair set is not the inversion set of any permutation")
+    return x
 
 
 def is_valid_inversion_set(inv: InversionSet) -> bool:
     """True when inv is transitive and co-transitive, i.e. decodable."""
-    if inv.pairs != transitive_closure(inv).pairs:
+    try:
+        _decode(_pair_masks(inv))
+    except ValueError:
         return False
-    return _is_cotransitive(inv.n, _below_masks(inv))
+    return True
 
 
 def permutation_from_inversions(inv: InversionSet) -> Permutation:
     """Decode a valid inversion set back to its permutation.
 
-    Values are sorted with the comparator "a precedes b iff (b, a) is
-    absent" (for a < b); validity of inv makes that comparator a total
-    order, and the round trip is checked so malformed input fails loudly.
+    Each value's position is counted off the pairs, and the round trip is
+    checked so malformed input fails loudly.
 
     >>> x = Permutation((2, 5, 3, 1, 4))
     >>> permutation_from_inversions(inversions(x)) == x
     True
     """
-    pairs = inv.pairs
-
-    def precedes(u: int, v: int) -> int:
-        if u < v:
-            return -1 if (v, u) not in pairs else 1
-        return 1 if (u, v) not in pairs else -1
-
-    word = tuple(sorted(range(1, inv.n + 1), key=cmp_to_key(precedes)))
-    result = Permutation(word)
-    if inversions(result).pairs != pairs:
-        raise ValueError("pair set is not the inversion set of any permutation")
-    return result
+    return _decode(_pair_masks(inv))
 
 
 def join(perms: Iterable[Permutation], n: int | None = None) -> Permutation:
@@ -302,12 +240,18 @@ def join(perms: Iterable[Permutation], n: int | None = None) -> Permutation:
     n = xs[0].n
     if any(x.n != n for x in xs):
         raise ValueError("mixed sizes in join")
-    union = frozenset().union(*(inversions(x).pairs for x in xs))
-    closed = transitive_closure(InversionSet(n, union))
-    # closing a union of inversion sets cannot break co-transitivity
-    if not _is_cotransitive(n, _below_masks(closed)):
-        raise ValueError("the closed union of inversion sets is not co-transitive")
-    return permutation_from_inversions(closed)
+    below = [0] * (n + 1)
+    for x in xs:
+        for v, m in enumerate(_masks(x)):
+            below[v] |= m
+    # all members of below[v] are < v, so one ascending pass closes the union
+    for v in range(2, n + 1):
+        m = below[v]
+        while m:
+            u = (m & -m).bit_length() - 1
+            m &= m - 1
+            below[v] |= below[u]
+    return _decode(below)
 
 
 def meet(perms: Iterable[Permutation], n: int | None = None) -> Permutation:

@@ -234,11 +234,13 @@ def test_size_cap_default_is_nine(capsys, monkeypatch):
 
 
 def test_size_cap_garbage_value(capsys, monkeypatch):
-    # int() would read "1_0" as 10 and "٣" as 3; a cap below 1 admits nothing
-    for raw in ("many", "1_0", "٣", "0", "-1"):
+    # int() would read "1_0" as 10 and "٣" as 3, and refuses more digits than
+    # sys.get_int_max_str_digits(); a cap below 1 admits nothing
+    for raw in ("many", "1_0", "٣", "0", "-1", "9" * 5000):
         monkeypatch.setenv("ARCDIAG_MAX_N", raw)
         code, _, err = run(capsys, ["enumerate", "--n", "3"])
-        assert code == 2 and "integer" in err, raw
+        assert code == 2 and "integer" in err and "Exceeds" not in err, raw[:20]
+        assert len(err) < 200, raw[:20]
 
 
 def test_polynomial_commands_ignore_size_cap(capsys, monkeypatch):

@@ -75,6 +75,34 @@ def test_invalid_inversion_set_rejected():
         permutation_from_inversions(bad)
 
 
+@pytest.mark.parametrize("n", range(1, 6))
+def test_decoding_matches_definition(n):
+    # every pair set decodes exactly when it is transitive and co-transitive,
+    # written out pairwise: (c,b),(b,a) give (c,a), and (c,a) gives (c,b) or (b,a)
+    pairs = [(b, a) for b in range(2, n + 1) for a in range(1, b)]
+    triples = list(itertools.combinations(range(1, n + 1), 3))
+    decoded = set()
+    for r in range(len(pairs) + 1):
+        for chosen in itertools.combinations(pairs, r):
+            s = frozenset(chosen)
+            transitive = all(
+                (c, a) in s for a, b, c in triples if (c, b) in s and (b, a) in s
+            )
+            cotransitive = all(
+                (c, b) in s or (b, a) in s for a, b, c in triples if (c, a) in s
+            )
+            inv = InversionSet(n, s)
+            assert is_valid_inversion_set(inv) == (transitive and cotransitive), sorted(s)
+            if transitive and cotransitive:
+                x = permutation_from_inversions(inv)
+                assert inversions(x).pairs == s
+                decoded.add(x)
+            else:
+                with pytest.raises(ValueError):
+                    permutation_from_inversions(inv)
+    assert decoded == set(all_permutations(n))
+
+
 def test_joinand_worked_examples():
     x = P("157842936")
     assert str(joinand_at(x, 4)) == "123578469"
@@ -257,3 +285,25 @@ def test_join_meet_bound_properties(pair):
     assert weak_leq(m, x) and weak_leq(m, y)
     assert weak_leq(m, j)
     assert join([x, x]) == x and meet([x, x]) == x
+
+
+def _closure(pairs, n):
+    # Warshall's algorithm on the relation b -> a, one pair at a time
+    rel = set(pairs)
+    for k in range(1, n + 1):
+        for b in range(1, n + 1):
+            if (b, k) in rel:
+                for a in range(1, n + 1):
+                    if (k, a) in rel:
+                        rel.add((b, a))
+    return rel
+
+
+@given(st.integers(2, 12).flatmap(lambda n: st.lists(perms(n), min_size=1, max_size=4)))
+@settings(max_examples=200, deadline=None)
+def test_join_is_closure_of_union(family):
+    n = family[0].n
+    union = set().union(*(inversions(x).pairs for x in family))
+    assert inversions(join(family)).pairs == _closure(union, n)
+    rev = lambda x: Permutation(x.entries[::-1])
+    assert meet(family) == rev(join([rev(x) for x in family]))
