@@ -25,23 +25,22 @@ from arcdiag.textforms import parse_congruence_spec
 
 def run(n: int, out: Path, congruence: str | None, ascii_mode: bool) -> None:
     arcset = parse_congruence_spec(congruence, n) if congruence else None
-    diagrams = sorted(
-        enumerate_diagrams(n, arcset),
-        key=lambda d: permutation_from_diagram(d).entries,
+    drawn = sorted(
+        ((permutation_from_diagram(d), d) for d in enumerate_diagrams(n, arcset)),
+        key=lambda pair: pair[0].entries,
     )
+    pairs = [(format_permutation(x), d) for x, d in drawn]
     if ascii_mode:
-        for d in diagrams:
-            word = format_permutation(permutation_from_diagram(d))
+        for word, d in pairs:
             print(f"{word}  {format_diagram_body(d)}")
             print(render_ascii(d))
             print()
-        print(f"{len(diagrams)} diagrams")
+        print(f"{len(pairs)} diagrams")
         return
 
     out.mkdir(parents=True, exist_ok=True)
     rows = []
-    for d in diagrams:
-        word = format_permutation(permutation_from_diagram(d))
+    for word, d in pairs:
         name = f"{word.replace(',', '-')}.svg"
         (out / name).write_text(render_svg(d), encoding="utf-8")
         caption = html.escape(f"{word}  {format_diagram_body(d)}".rstrip())
@@ -54,7 +53,7 @@ def run(n: int, out: Path, congruence: str | None, ascii_mode: bool) -> None:
         "font-family:monospace}</style>\n" + "\n".join(rows) + "\n"
     )
     (out / "index.html").write_text(index, encoding="utf-8")
-    print(f"wrote {len(diagrams)} diagrams to {out}/")
+    print(f"wrote {len(pairs)} diagrams to {out}/")
 
 
 def main() -> None:

@@ -16,10 +16,11 @@ minimum label reconstructs the one-line notation.
 from __future__ import annotations
 
 import math
+from collections import defaultdict
 from dataclasses import dataclass
-from typing import Iterable, Iterator
+from typing import Iterable, Iterator, Sequence
 
-from .arcs import Arc, ArcSet, _cover_label, arc_key, all_arcs, incompatibility_reason
+from .arcs import Arc, ArcSet, _cover_label, all_arcs, incompatibility_reason
 from .perms import Permutation, descents, positions
 
 
@@ -30,15 +31,14 @@ def validate_diagram(n: int, arcs: Iterable[Arc]) -> Diagram:
     """Check pairwise compatibility and wrap the arcs in a Diagram.
 
     Pairwise compatibility suffices: any set of pairwise compatible arcs
-    can be drawn together without crossings.
+    can be drawn together without crossings.  The clash masks of
+    `_forcing` decide; the first clashing pair in canonical order words
+    the error.  Arcs not on n points fail the `ArcSet` size check first.
     """
-    arc_list = sorted(frozenset(arcs), key=arc_key)
-    for i, alpha in enumerate(arc_list):
-        for beta in arc_list[i + 1 :]:
-            reason = incompatibility_reason(alpha, beta)
-            if reason is not None:
-                raise ValueError(f"incompatible arcs: {reason}")
-    return Diagram(n, frozenset(arc_list))
+    diagram = Diagram(n, frozenset(arcs))
+    ordered = diagram.sorted_arcs()
+    _require_compatible(ordered, _forcing(ordered)[3])
+    return diagram
 
 
 def diagram_from_permutation(x: Permutation) -> Diagram:
@@ -183,29 +183,21 @@ def permutation_from_diagram(diagram: Diagram) -> Permutation:
     return Permutation(tuple(word))
 
 
-def _compat_graph(n: int, arcset: ArcSet | None) -> tuple[list[Arc], list[int]]:
-    """The arcs of `arcset` (all when None) in canonical order and their compatibility graph.
+def _forcing(arcs: Sequence[Arc]) -> tuple[dict[int, int], dict[int, int], list[int], list[int]]:
+    """The forcing rule on `arcs`, in canonical order, as masks with bit j for arcs[j].
 
-    Bit j of the i-th mask is set when j > i and arcs i and j are
-    compatible, so each compatible pair is recorded once.  The rule is
-    that of `incompatibility_reason`: arc i is forced right of arc j by a
-    point on the left of (or an endpoint of) i and on the right of (or an
-    endpoint of) j that is not an endpoint of both, and two arcs clash
-    when they share a lower or an upper endpoint or each is forced right
-    of the other.  Rather than testing pairs, the arcs are gathered per
-    point into masks by the side they pass it on, so each arc's clashes
-    take a few `|` and `&` over the points it spans.
+    Returns, keyed by interior point, the arcs passing it on their left
+    and on their right; and per arc, the arcs it is forced right of and the
+    other arcs it clashes with, by the rules of `forces_right_of` and
+    `incompatibility_reason`.  Rather than testing pairs, the arcs are
+    gathered per point by the side they pass it on, so each arc takes a
+    few `|` and `&` over the points it spans and the cost follows the
+    arcs, not n.
     """
-    if arcset is None:
-        arcs = all_arcs(n)
-    elif arcset.n != n:
-        raise ValueError(f"arc set lives on {arcset.n} points, not {n}")
-    else:
-        arcs = list(arcset.sorted_arcs())
-    lower = [0] * (n + 1)  # arcs with p as lower endpoint
-    upper = [0] * (n + 1)  # arcs with p as upper endpoint
-    on_left = [0] * (n + 1)  # arcs passing interior point p on their left
-    on_right = [0] * (n + 1)
+    lower: dict[int, int] = defaultdict(int)  # arcs with p as lower endpoint
+    upper: dict[int, int] = defaultdict(int)  # arcs with p as upper endpoint
+    on_left: dict[int, int] = defaultdict(int)  # arcs passing interior point p on their left
+    on_right: dict[int, int] = defaultdict(int)
     for j, alpha in enumerate(arcs):
         bit = 1 << j
         lower[alpha.a] |= bit
@@ -215,8 +207,8 @@ def _compat_graph(n: int, arcset: ArcSet | None) -> tuple[list[Arc], list[int]]:
         for p in alpha.left:
             on_left[p] |= bit
 
-    everything = (1 << len(arcs)) - 1
-    later = []
+    right_of = []
+    clash = []
     for i, alpha in enumerate(arcs):
         a, b = alpha.a, alpha.b
         # an endpoint of alpha forces only arcs passing it in their interior
@@ -226,9 +218,36 @@ def _compat_graph(n: int, arcset: ArcSet | None) -> tuple[list[Arc], list[int]]:
             forced_left_of_alpha |= on_right[p] | lower[p] | upper[p]
         for p in alpha.right:
             forced_right_of_alpha |= on_left[p] | lower[p] | upper[p]
-        clash = (forced_left_of_alpha & forced_right_of_alpha) | lower[a] | upper[b]
-        later.append(everything & ~clash & ~((2 << i) - 1))
-    return arcs, later
+        right_of.append(forced_left_of_alpha)
+        both = (forced_left_of_alpha & forced_right_of_alpha) | lower[a] | upper[b]
+        clash.append(both & ~(1 << i))
+    return on_left, on_right, right_of, clash
+
+
+def _require_compatible(arcs: Sequence[Arc], clash: list[int]) -> None:
+    """Raise for the first clashing pair i < j of `arcs`, worded by `incompatibility_reason`."""
+    for i, mask in enumerate(clash):
+        after = mask >> (i + 1)
+        if after:
+            beta = arcs[i + (after & -after).bit_length()]
+            raise ValueError(f"incompatible arcs: {incompatibility_reason(arcs[i], beta)}")
+
+
+def _compat_graph(n: int, arcset: ArcSet | None) -> tuple[list[Arc], list[int]]:
+    """The arcs of `arcset` (all when None) in canonical order and their compatibility graph.
+
+    Bit j of the i-th mask is set when j > i and arcs i and j do not
+    clash, so each compatible pair is recorded once.
+    """
+    if arcset is None:
+        arcs = all_arcs(n)
+    elif arcset.n != n:
+        raise ValueError(f"arc set lives on {arcset.n} points, not {n}")
+    else:
+        arcs = list(arcset.sorted_arcs())
+    everything = (1 << len(arcs)) - 1
+    clash = _forcing(arcs)[3]
+    return arcs, [everything & ~c & ~((2 << i) - 1) for i, c in enumerate(clash)]
 
 
 def enumerate_diagrams(n: int, arcset: ArcSet | None = None) -> Iterator[Diagram]:

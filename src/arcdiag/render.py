@@ -5,13 +5,16 @@ at the bottom, and an arc's horizontal offset at an interior point is a
 whole number of units, positive when the point lies on the arc's left
 (the arc bows to the point's right) and negative on the other side.
 Arcs sharing a point and side are stacked by the forced left-to-right
-order, so curves never cross.  Output depends only on the input values.
+order, so curves never cross: an arc's rank there counts the arcs on
+that side it is forced right of, read off the masks of
+`diagrams._forcing`.  An arc set that is not a diagram is refused with
+the error of `validate_diagram`.  Output depends only on the input values.
 """
 from __future__ import annotations
 
-from .arcs import Arc, ArcSet, arc_key, all_arcs, forces_right_of, subarc_covers
+from .arcs import Arc, ArcSet, arc_key, all_arcs, subarc_covers
 from .congruences import project_down, project_up, uncontracted_permutations
-from .diagrams import Diagram
+from .diagrams import Diagram, _forcing, _require_compatible
 from .perms import all_permutations, upper_covers
 
 SPACING = 40  # vertical px between points
@@ -22,42 +25,21 @@ STROKE_WIDTH = 2
 COL_WIDTH = 2  # ascii columns per offset unit
 
 
-def _left_to_right(members: list[Arc]) -> list[Arc]:
-    # forced order is total among arcs sharing an interior point; the
-    # canonical tie break only matters for inputs outside any diagram
-    ordered: list[Arc] = []
-    pending = sorted(members, key=arc_key)
-    while pending:
-        for candidate in pending:
-            if not any(
-                forces_right_of(candidate, other) is not None
-                for other in pending
-                if other is not candidate
-            ):
-                ordered.append(candidate)
-                pending.remove(candidate)
-                break
-        else:
-            raise ValueError("cyclic forcing among arcs at a shared point")
-    return ordered
-
-
 def arc_offsets(diagram: Diagram) -> dict[Arc, dict[int, int]]:
-    """Unit offsets per arc and height; endpoints sit on the axis at 0."""
-    groups: dict[tuple[int, bool], list[Arc]] = {}
-    for alpha in diagram.sorted_arcs():
-        for p in alpha.interior:
-            groups.setdefault((p, p in alpha.right), []).append(alpha)
+    """Unit offsets per arc and height; endpoints sit on the axis at 0.
 
-    offsets: dict[Arc, dict[int, int]] = {
-        alpha: {alpha.a: 0, alpha.b: 0} for alpha in diagram.arcs
-    }
-    for (p, on_right), members in groups.items():
-        for rank, alpha in enumerate(_left_to_right(members)):
-            if on_right:
-                offsets[alpha][p] = rank - len(members)
-            else:
-                offsets[alpha][p] = rank + 1
+    Incompatible arcs raise the error of `validate_diagram`.
+    """
+    arcs = diagram.sorted_arcs()
+    on_left, on_right, right_of, clash = _forcing(arcs)
+    _require_compatible(arcs, clash)
+    offsets: dict[Arc, dict[int, int]] = {}
+    for alpha, left_of_alpha in zip(arcs, right_of):
+        per = offsets[alpha] = {alpha.a: 0, alpha.b: 0}
+        for p in alpha.left:
+            per[p] = (left_of_alpha & on_left[p]).bit_count() + 1
+        for p in alpha.right:
+            per[p] = (left_of_alpha & on_right[p]).bit_count() - on_right[p].bit_count()
     return offsets
 
 

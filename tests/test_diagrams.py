@@ -19,7 +19,9 @@ from arcdiag import (
     deletion_stages,
     diagram_from_permutation,
     enumerate_diagrams,
+    incompatibility_reason,
     make_arc,
+    parse_diagram,
     permutation_from_diagram,
     validate_diagram,
 )
@@ -65,6 +67,36 @@ def test_validate_diagram_rejects_shared_endpoints():
 def test_validate_diagram_rejects_crossing():
     with pytest.raises(ValueError, match="forces"):
         validate_diagram(8, [make_arc(8, 2, 5, {4}), make_arc(8, 3, 7, {4})])
+
+
+@pytest.mark.parametrize("n", range(3, 7))
+def test_validation_matches_the_pairwise_rule(n):
+    # accepts exactly the pairwise compatible sets, and words the first
+    # rejected pair i < j in canonical order
+    rng = random.Random(7100 + n)
+    arcs = all_arcs(n)
+    for _ in range(400):
+        sub = sorted(rng.sample(arcs, rng.randint(1, min(n + 1, len(arcs)))), key=arcs.index)
+        clashes = [
+            reason
+            for alpha, beta in itertools.combinations(sub, 2)
+            if (reason := incompatibility_reason(alpha, beta)) is not None
+        ]
+        rng.shuffle(sub)
+        if clashes:
+            with pytest.raises(ValueError) as exc:
+                validate_diagram(n, sub)
+            assert str(exc.value) == "incompatible arcs: " + clashes[0]
+        else:
+            assert validate_diagram(n, sub).arcs == frozenset(sub)
+
+
+def test_validation_cost_follows_the_arcs():
+    # masks sized by n would not fit in memory here
+    assert parse_diagram("n=9999999999\n9999999998-9999999999").n == 9999999999
+    n = 10**18
+    top = make_arc(n, n - 1, n, frozenset())
+    assert validate_diagram(n, [top]).arcs == {top}
 
 
 def test_deletion_stages_worked_example():

@@ -4,7 +4,7 @@ import re
 from collections import Counter
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from arcdiag import (
@@ -13,6 +13,7 @@ from arcdiag import (
     all_permutations,
     arc_offsets,
     catalan,
+    compatible,
     congruence_from_contracted,
     diagram_from_permutation,
     export_dot,
@@ -25,6 +26,7 @@ from arcdiag import (
     parse_diagram,
     render_ascii,
     render_svg,
+    validate_diagram,
 )
 from arcdiag.render import MARGIN, SPACING, UNIT
 
@@ -128,7 +130,16 @@ def test_offset_signs_follow_sides():
             assert (per[p] < 0) == (p in alpha.right)
 
 
+def seeded_permutation(seed, n):
+    entries = list(range(1, n + 1))
+    random.Random(seed).shuffle(entries)
+    return Permutation(tuple(entries))
+
+
 @given(st.integers(2, 7).flatmap(perms))
+@example(seeded_permutation(100, 100))
+@example(seeded_permutation(150, 150))
+@example(seeded_permutation(200, 200))
 @settings(max_examples=250, deadline=None)
 def test_forced_order_holds_at_every_shared_height(x):
     d = diagram_from_permutation(x)
@@ -139,6 +150,24 @@ def test_forced_order_holds_at_every_shared_height(x):
             assert all(offsets[alpha][h] > offsets[beta][h] for h in shared)
         for h in shared:
             assert offsets[alpha][h] != offsets[beta][h]
+
+
+@pytest.mark.parametrize("n", range(4, 7))
+def test_render_refuses_incompatible_arcs_like_validation(n):
+    rng = random.Random(8200 + n)
+    arcs = all_arcs(n)
+    refused = 0
+    while refused < 100:
+        sub = frozenset(rng.sample(arcs, rng.randint(2, n)))
+        if all(compatible(a, b) for a, b in itertools.combinations(sub, 2)):
+            continue
+        with pytest.raises(ValueError) as expected:
+            validate_diagram(n, sub)
+        for draw in (arc_offsets, render_ascii, render_svg):
+            with pytest.raises(ValueError) as got:
+                draw(Diagram(n, sub))
+            assert str(got.value) == str(expected.value)
+        refused += 1
 
 
 def test_gallery_n3_matches_side_data():
