@@ -19,7 +19,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Iterable
+from typing import Callable, Iterable
 
 from .perms import Permutation, descents, positions
 
@@ -114,16 +114,7 @@ class ArcSet:
 
 def all_arcs(n: int) -> list[Arc]:
     """Every arc on n points in canonical order; there are 2^n - n - 1."""
-    out = []
-    for a in range(1, n):
-        for b in range(a + 1, n + 1):
-            k = b - a - 1
-            for mm in range(1 << k):
-                # bit i of mm, read from the top, puts point a+1+i on the right,
-                # so ascending mm matches ascending side strings
-                right = frozenset(a + 1 + i for i in range(k) if (mm >> (k - 1 - i)) & 1)
-                out.append(Arc(n, a, b, right))
-    return out
+    return sorted(_grown(n, lambda alpha: True)[0], key=arc_key)
 
 
 def _cover_label(x: Permutation, pos: tuple[int, ...], i: int) -> Arc:
@@ -275,6 +266,33 @@ def subarc_covers(beta: Arc) -> tuple[Arc, ...]:
         Arc(beta.n, beta.a, beta.b - 1, beta.right - {beta.b - 1}),
         Arc(beta.n, beta.a + 1, beta.b, beta.right - {beta.a + 1}),
     )
+
+
+def _grown(n: int, keep: Callable[[Arc], bool]) -> tuple[list[Arc], list[Arc]]:
+    """The arcs on n points whose subarcs all pass `keep`, and the subarc-minimal failures.
+
+    Grows from the unit arcs a length at a time: a kept arc from a to b
+    extends to b + 1, with b on either side, when its other subarc cover
+    (from a + 1) was kept too.  The work follows the kept arcs.
+    """
+    # keyed by (a, b, right), so a cover is looked up without building its Arc
+    kept: dict[tuple[int, int, frozenset[int]], Arc] = {}
+    failed: list[Arc] = []
+    tried = [Arc(n, a, a + 1, frozenset()) for a in range(1, n)]
+    while tried:
+        for alpha in tried:
+            if keep(alpha):
+                kept[alpha.a, alpha.b, alpha.right] = alpha
+            else:
+                failed.append(alpha)
+        tried = [
+            Arc(n, alpha.a, alpha.b + 1, right)
+            for alpha in tried
+            if alpha.b < n and (alpha.a, alpha.b, alpha.right) in kept
+            for right in (alpha.right, alpha.right | {alpha.b})
+            if (alpha.a + 1, alpha.b + 1, right - {alpha.a + 1}) in kept
+        ]
+    return list(kept.values()), failed
 
 
 def inflections(alpha: Arc) -> int:

@@ -5,9 +5,9 @@ Every subcommand prints plain text on stdout and returns an exit code:
 (bad flags, malformed text, out-of-range sizes).  `delta`, `inverse` and
 `render` take any n >= 1: their work grows polynomially with n.  The
 commands whose work grows with all arcs or all of S_n (`enumerate`,
-`complex`, `export`, `verify`, and `project`, whose `baxter`, `clumped`
-and `maxlen` specs filter all 2^n - n - 1 arcs) refuse sizes above the
-cap in ARCDIAG_MAX_N (default 9) up front; `verify` stops at
+`complex`, `export`, `verify`), and `project`, whose walk rescans after
+every swap and whose `clumped:k` sets grow exponentially, refuse sizes
+above the cap in ARCDIAG_MAX_N (default 9) up front; `verify` stops at
 VERIFY_MAX_N (8) below that.
 """
 from __future__ import annotations
@@ -73,7 +73,7 @@ def _read_diagram(args: argparse.Namespace) -> Diagram:
     if args.n is None:
         raise ValueError("a bare diagram body needs --n")
     _check_positive(args.n)
-    return parse_diagram_body(text, args.n)
+    return parse_diagram_body(text.rstrip("\n"), args.n)
 
 
 def _cmd_delta(args: argparse.Namespace) -> int:

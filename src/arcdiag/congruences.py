@@ -34,10 +34,9 @@ from .arcs import (
     Arc,
     ArcSet,
     _cover_label,
-    all_arcs,
+    _grown,
+    arc_key,
     inflections,
-    is_subarc,
-    subarc_covers,
 )
 from .diagrams import diagram_from_permutation, enumerate_diagrams
 from .perms import Permutation, all_permutations, descents, positions
@@ -45,7 +44,7 @@ from .perms import Permutation, all_permutations, descents, positions
 
 def full_arc_set(n: int) -> ArcSet:
     """Every arc on n points; the trivial congruence contracting nothing."""
-    return ArcSet(n, frozenset(all_arcs(n)))
+    return ArcSet(n, frozenset(_grown(n, lambda alpha: True)[0]))
 
 
 def _require_congruence(n: int, arcset: ArcSet) -> None:
@@ -61,35 +60,20 @@ def congruence_from_contracted(n: int, generators: Iterable[Arc]) -> ArcSet:
 
     An arc survives exactly when none of the generators is a subarc of it.
 
-    >>> gens = [alpha for alpha in all_arcs(3) if alpha.right and alpha.b - alpha.a == 2]
-    >>> str(congruence_from_contracted(3, gens))
+    >>> str(congruence_from_contracted(3, [Arc(3, 1, 3, frozenset({2}))]))
     '1-2;1-3:L;2-3'
     """
-    gen_set = frozenset(generators)
-    for g in gen_set:
-        if g.n != n:
-            raise ValueError(f"generator {g!r} does not live on {n} points")
-    members = [
-        alpha
-        for alpha in all_arcs(n)
-        if not any(is_subarc(g, alpha) for g in gen_set)
-    ]
-    return ArcSet(n, frozenset(members))
+    contracted = ArcSet(n, frozenset(generators))  # checks that they live on n points
+    return ArcSet(n, frozenset(_grown(n, lambda alpha: alpha not in contracted)[0]))
 
 
 def minimal_contracted_generators(n: int, arcset: ArcSet) -> tuple[Arc, ...]:
     """Subarc-minimal elements of the complement of `arcset`, canonical order.
 
-    The set is closed, so an arc outside it is minimal exactly when its
-    subarc covers lie inside.
+    They are the arcs where growing the closed set from the unit arcs stops.
     """
     _require_congruence(n, arcset)
-    arcs = arcset.arcs
-    return tuple(
-        g
-        for g in all_arcs(n)
-        if g not in arcs and all(beta in arcs for beta in subarc_covers(g))
-    )
+    return tuple(sorted(_grown(n, arcset.__contains__)[1], key=arc_key))
 
 
 def has_pattern(x: Permutation, alpha: Arc) -> bool:
@@ -204,11 +188,11 @@ def named_congruence(
     elif name == "clumped":
         if k is None or k < 0:
             raise ValueError("clumped needs a bound k >= 0")
-        members = [alpha for alpha in all_arcs(n) if inflections(alpha) <= k]
+        members = _grown(n, lambda alpha: inflections(alpha) <= k)[0]
     elif name == "maxlen":
         if k is None or k < 1:
             raise ValueError("maxlen needs a bound k >= 1")
-        members = [alpha for alpha in all_arcs(n) if alpha.b - alpha.a < k]
+        members = _grown(n, lambda alpha: alpha.b - alpha.a < k)[0]
     else:
         raise ValueError(f"unknown congruence family {name!r}")
     return ArcSet(n, frozenset(members))

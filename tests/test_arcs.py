@@ -73,6 +73,13 @@ def test_arc_count(n):
     assert len(set(arcs)) == len(arcs)
     # same total as summing over descent positions
     assert len(arcs) == sum((n - d) * 2 ** (d - 1) for d in range(1, n))
+    # every endpoint pair with every side word, L before R: canonical order
+    assert arcs == [
+        make_arc(n, a, b, (p for p, side in zip(range(a + 1, b), word) if side == "R"))
+        for a in range(1, n)
+        for b in range(a + 1, n + 1)
+        for word in itertools.product("LR", repeat=b - a - 1)
+    ]
 
 
 @pytest.mark.parametrize("n", range(2, 9))

@@ -63,6 +63,23 @@ def test_header_and_conflicting_n_exit_2(capsys, monkeypatch):
     assert code == 0 and out == "213\n"
 
 
+def test_bare_body_on_stdin_takes_trailing_newlines(capsys, monkeypatch):
+    code, out, err = run(capsys, ["inverse", "--n", "3"], stdin="1-2\n", monkeypatch=monkeypatch)
+    assert (code, out, err) == (0, "213\n", "")
+    code, out, _ = run(capsys, ["inverse", "--n", "8"], stdin=f"{FIG_BODY}\n\n", monkeypatch=monkeypatch)
+    assert (code, out) == (0, "46731528\n")
+    code, out, err = run(capsys, ["render", "--ascii", "--n", "3"], stdin="1-3:L\n", monkeypatch=monkeypatch)
+    assert code == 0 and err == ""
+    assert out == run(capsys, ["render", "--ascii", "--n", "3", "1-3:L"])[1]
+
+
+def test_bare_body_on_stdin_rejects_text_after_it(capsys, monkeypatch):
+    for stdin, offset in (("1-2\nx\n", 3), ("1-2 \n", 3), ("1-3:L\n\n2-3\n", 5)):
+        code, out, err = run(capsys, ["inverse", "--n", "3"], stdin=stdin, monkeypatch=monkeypatch)
+        assert (code, out) == (2, "")
+        assert err.startswith("error: ") and f"(byte {offset})" in err, (stdin, err)
+
+
 def test_inverse_bare_body_requires_n(capsys):
     code, _, err = run(capsys, ["inverse", "1-2"])
     assert code == 2

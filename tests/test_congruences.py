@@ -1,5 +1,6 @@
 import itertools
 import random
+import sys
 
 import pytest
 
@@ -25,6 +26,7 @@ from arcdiag import (
     parse_congruence_spec,
     project_down,
     project_up,
+    subarc_covers,
     uncontracted_by_avoidance,
     uncontracted_permutations,
 )
@@ -77,11 +79,16 @@ def test_contraction_yields_closed_sets(n):
 
 @pytest.mark.parametrize("n", range(3, 7))
 def test_minimal_generators_regenerate(n):
+    arcs = all_arcs(n)
     for _, u in random_congruences(n, 15, seed=2000 + n):
         gens = minimal_contracted_generators(n, u)
         assert congruence_from_contracted(n, gens) == u
         for g, h in itertools.permutations(gens, 2):
             assert not is_subarc(g, h)
+        # the cover scan: arcs outside U whose subarc covers lie in U
+        assert gens == tuple(
+            g for g in arcs if g not in u and all(beta in u for beta in subarc_covers(g))
+        )
 
 
 def test_has_pattern_examples():
@@ -182,11 +189,40 @@ def test_named_families_match_filter_oracle(n):
         assert parse_congruence_spec(spec, n).arcs == {alpha for alpha in arcs if keep(alpha)}, spec
 
 
-@pytest.mark.parametrize("spec", ["tamari", "cambrian:" + "LR" * 100], ids=["tamari", "alternating"])
-def test_cambrian_sets_are_generated_not_filtered(spec, monkeypatch):
-    for target in ("arcdiag.arcs.all_arcs", "arcdiag.congruences.all_arcs"):
-        monkeypatch.setattr(target, lambda n: pytest.fail("all_arcs called"))
-    assert len(parse_congruence_spec(spec, 200).arcs) == 19_900
+# the length-2 arcs bending right; contracting them leaves the left arcs
+RIGHT_BENDS_40 = [make_arc(40, a, a + 2, {a + 1}) for a in range(1, 39)]
+
+
+@pytest.mark.parametrize(
+    "build, size",
+    [
+        (lambda: parse_congruence_spec("tamari", 200).arcs, 19_900),
+        (lambda: parse_congruence_spec("cambrian:" + "LR" * 100, 200).arcs, 19_900),
+        (lambda: parse_congruence_spec("baxter", 60).arcs, 59**2),
+        (lambda: parse_congruence_spec("clumped:1", 40).arcs, 19_799),
+        (lambda: parse_congruence_spec("maxlen:3", 200).arcs, 199 + 2 * 198),
+        (lambda: congruence_from_contracted(40, RIGHT_BENDS_40).arcs, 780),
+        (lambda: minimal_contracted_generators(40, named_congruence(40, "tamari")), 38),
+    ],
+    ids=["tamari", "alternating", "baxter", "clumped1", "maxlen3", "contracted", "minimal"],
+)
+def test_cambrian_sets_are_generated_not_filtered(build, size, monkeypatch):
+    # rule sets and closures grow from the unit arcs, never listing all 2^n - n - 1
+    for name, module in list(sys.modules.items()):
+        if name.split(".")[0] == "arcdiag" and hasattr(module, "all_arcs"):
+            monkeypatch.setattr(module, "all_arcs", lambda n: pytest.fail("all_arcs called"))
+    assert len(build()) == size
+
+
+def test_contracted_right_bends_give_the_left_arcs():
+    u = congruence_from_contracted(40, RIGHT_BENDS_40)
+    assert u == named_congruence(40, "tamari")
+    assert minimal_contracted_generators(40, u) == tuple(RIGHT_BENDS_40)
+
+
+def test_contraction_rejects_generators_on_other_sizes():
+    with pytest.raises(ValueError, match="does not live on 4 points"):
+        congruence_from_contracted(4, [make_arc(5, 1, 3, {2})])
 
 
 def test_named_congruence_rejects_bad_args():

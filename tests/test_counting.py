@@ -2,6 +2,7 @@ import itertools
 import json
 import math
 import random
+from pathlib import Path
 
 import pytest
 
@@ -23,6 +24,7 @@ from arcdiag import (
     named_congruence,
     narayana,
     prodmin,
+    uncontracted_by_avoidance,
     verify_report,
 )
 from arcdiag.counting import ALTERNATING_EVEN
@@ -69,6 +71,31 @@ def test_alternating_constants_match_brute_force():
             if all(e[i] > e[i + 1] if i % 2 == 0 else e[i] < e[i + 1] for i in range(two_n - 1)):
                 count += 1
         assert count == expected
+
+
+# clumped:1 totals for n = 1..12, the generic-rectangulation counts the
+# paper ties to that quotient; the program's output, cross-checked below
+GENERIC_RECTANGULATIONS = (
+    1, 2, 6, 24, 116, 642, 3938, 26194, 186042, 1395008, 10948768, 89346128,
+)
+BRUTEFORCE_N9 = Path(__file__).parents[1] / "perfbench" / "bruteforce_n9.json"
+
+
+def test_generic_rectangulation_totals():
+    totals = tuple(
+        count_by_arcs(n, named_congruence(n, "clumped", k=1)).total for n in range(1, 13)
+    )
+    assert totals == GENERIC_RECTANGULATIONS
+    for n in range(1, 8):
+        avoiding = uncontracted_by_avoidance(n, named_congruence(n, "clumped", k=1))
+        assert sum(1 for _ in avoiding) == GENERIC_RECTANGULATIONS[n - 1]
+    # the table of the stdlib brute-force oracle, which imports nothing from arcdiag
+    oracle = json.loads(BRUTEFORCE_N9.read_text())
+    assert oracle["n"] == 9
+    assert count_by_arcs(9, named_congruence(9, "clumped", k=1)).counts == tuple(
+        oracle["rows"]["clumped:1"]
+    )
+    assert sum(oracle["rows"]["clumped:1"]) == GENERIC_RECTANGULATIONS[8]
 
 
 def test_count_by_arcs_tamari():
