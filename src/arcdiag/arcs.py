@@ -108,8 +108,9 @@ class ArcSet:
 
     @cached_property
     def subarc_closed(self) -> bool:
-        arcs = self.arcs
-        return all(beta in arcs for alpha in arcs for beta in subarc_covers(alpha))
+        keys = {(alpha.a, alpha.b, alpha.right) for alpha in self.arcs}
+        return all((a, b - 1, r - {b - 1}) in keys and (a + 1, b, r - {a + 1}) in keys
+                   for a, b, r in keys if b > a + 1)
 
 
 def all_arcs(n: int) -> list[Arc]:
@@ -271,11 +272,10 @@ def subarc_covers(beta: Arc) -> tuple[Arc, ...]:
 def _grown(n: int, keep: Callable[[Arc], bool]) -> tuple[list[Arc], list[Arc]]:
     """The arcs on n points whose subarcs all pass `keep`, and the subarc-minimal failures.
 
-    Grows from the unit arcs a length at a time: a kept arc from a to b
-    extends to b + 1, with b on either side, when its other subarc cover
-    (from a + 1) was kept too.  The work follows the kept arcs.
+    Grows from the unit arcs, so the work follows the kept arcs: a kept
+    arc from a to b extends to b + 1, with b on either side, when its other
+    subarc cover (from a + 1, looked up by key, not built) was kept too.
     """
-    # keyed by (a, b, right), so a cover is looked up without building its Arc
     kept: dict[tuple[int, int, frozenset[int]], Arc] = {}
     failed: list[Arc] = []
     tried = [Arc(n, a, a + 1, frozenset()) for a in range(1, n)]
