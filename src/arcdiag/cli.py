@@ -224,7 +224,14 @@ def dispatch(argv: list[str] | None = None) -> int:
 
 
 def main() -> None:
-    sys.exit(dispatch())
+    try:
+        code = dispatch()
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # the reader left (`| head`): end quietly, and let the last flush hit devnull
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        code = 0
+    sys.exit(code)
 
 
 if __name__ == "__main__":

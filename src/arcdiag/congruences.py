@@ -7,12 +7,11 @@ as a subarc.  A set of arcs therefore describes a congruence exactly
 when it is closed under passing to subarcs; we keep the uncontracted
 set U.
 
-Permutations untouched by the congruence are those whose diagram stays
-inside U, and they can be recognized without building any diagram: each
-subarc-minimal contracted arc (b, a, R) forbids a descent pattern, a
-descent from at least b down to at most a with the arc's left values
-before it and right values after it.  Both routes are exposed and the
-test suite holds them equal.
+Permutations untouched by the congruence are those whose every descent
+has its arc in U.  Both listings place values left to right and cut a
+prefix at its newest descent, whose arc the prefix fixes: one route
+looks the arc up in U, the other checks the descent patterns (see
+`has_pattern`) that the subarc-minimal contracted arcs forbid.
 
 A congruence contracts the weak-order cover that swaps a descent of x
 exactly when it contracts that descent's arc, the cover's label.  Walks
@@ -28,7 +27,7 @@ Named families come from three rules:
 """
 from __future__ import annotations
 
-from typing import Iterable, Iterator
+from typing import Callable, Iterable, Iterator
 
 from .arcs import (
     Arc,
@@ -38,8 +37,8 @@ from .arcs import (
     arc_key,
     inflections,
 )
-from .diagrams import diagram_from_permutation, enumerate_diagrams
-from .perms import Permutation, all_permutations, descents, positions
+from .diagrams import enumerate_diagrams
+from .perms import Permutation, positions
 
 
 def full_arc_set(n: int) -> ArcSet:
@@ -90,14 +89,39 @@ def has_pattern(x: Permutation, alpha: Arc) -> bool:
     """
     if alpha.b > x.n:
         raise ValueError(f"pattern endpoint {alpha.b} exceeds n={x.n}")
-    pos = positions(x)
-    left = alpha.left
-    for i in descents(x):
-        if x.entries[i - 1] < alpha.b or x.entries[i] > alpha.a:
-            continue
-        if all(pos[v - 1] < i for v in left) and all(pos[v - 1] > i + 1 for v in alpha.right):
-            return True
+    e, pos = x.entries, None
+    for i in range(1, x.n):
+        if e[i - 1] >= alpha.b and e[i] <= alpha.a:
+            pos = pos or positions(x)
+            if all(pos[v - 1] < i for v in alpha.left) and all(pos[v - 1] > i + 1 for v in alpha.right):
+                return True
     return False
+
+
+def _bits(values: Iterable[int]) -> int:
+    return sum(1 << v for v in values)
+
+
+def _prefix_walk(n: int, cut: Callable[[int, int, int], bool]) -> Iterator[Permutation]:
+    """The permutations of 1..n in lexicographic order, pruned at descents.
+
+    Placing a after b > a forms a descent whose interior values in `used`
+    (a bit per placed value) sit left of it, the rest right; when
+    `cut(a, b, used)` holds the prefix goes with all its completions.
+    """
+    word: list[int] = []
+
+    def extend(used: int) -> Iterator[Permutation]:
+        if len(word) == n:
+            yield Permutation(tuple(word))
+            return
+        for v in range(1, n + 1):
+            if not used >> v & 1 and not (word and v < word[-1] and cut(v, word[-1], used)):
+                word.append(v)
+                yield from extend(used | 1 << v)
+                word.pop()
+
+    return extend(0)
 
 
 def uncontracted_permutations(n: int, arcset: ArcSet) -> Iterator[Permutation]:
@@ -108,19 +132,18 @@ def uncontracted_permutations(n: int, arcset: ArcSet) -> Iterator[Permutation]:
     ['123', '132', '213', '231', '321']
     """
     _require_congruence(n, arcset)
-    arcs = arcset.arcs
-    for x in all_permutations(n):
-        if diagram_from_permutation(x).arcs <= arcs:
-            yield x
+    keys = {(alpha.a, alpha.b, _bits(alpha.right)) for alpha in arcset.arcs}
+    yield from _prefix_walk(n, lambda a, b, used: (a, b, ~used & (1 << b) - (2 << a)) not in keys)
 
 
 def uncontracted_by_avoidance(n: int, arcset: ArcSet) -> Iterator[Permutation]:
-    """The same set recognized by avoiding the minimal forbidden patterns."""
-    _require_congruence(n, arcset)
+    """The same list, cut where a minimal forbidden pattern occurs at the newest descent."""
     patterns = minimal_contracted_generators(n, arcset)
-    for x in all_permutations(n):
-        if not any(has_pattern(x, g) for g in patterns):
-            yield x
+    # the (left, right) masks of the patterns a descent from b down to a can complete
+    at = {(a, b): [(_bits(g.left), _bits(g.right)) for g in patterns if a <= g.a and g.b <= b]
+          for a in range(1, n) for b in range(a + 1, n + 1)}
+    yield from _prefix_walk(n, lambda a, b, used: any(
+        not left & ~used and not right & used for left, right in at[a, b]))
 
 
 def _walk(x: Permutation, arcset: ArcSet, down: bool) -> Permutation:

@@ -1,6 +1,9 @@
 import io
 import json
+import os
 import random
+import subprocess
+import sys
 import types
 
 import pytest
@@ -298,3 +301,18 @@ def test_pipe_round_trip_n7_exhaustive(capsys, monkeypatch):
         monkeypatch.setattr("sys.stdin", io.StringIO(capsys.readouterr().out))
         assert dispatch(["inverse"]) == 0
         assert capsys.readouterr().out.strip() == word
+
+
+def test_closed_stdout_ends_quietly():
+    # `arcdiag enumerate --n 8 | head -1`: the reader leaves after one line
+    src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
+    env = dict(os.environ, PYTHONPATH=src)
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "arcdiag.cli", "enumerate", "--n", "8"],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env,
+    )
+    proc.stdout.readline()
+    proc.stdout.close()
+    err = proc.stderr.read()
+    assert proc.wait() == 0
+    assert err == b""

@@ -112,12 +112,51 @@ def test_contracting_the_other_slope():
     assert got == {"123", "132", "213", "312", "321"}
 
 
-@pytest.mark.parametrize("n", range(3, 7))
-def test_avoidance_route_matches_delta_route(n):
+def scan_by_diagram(image, u):
+    """Oracle: scan S_n for the permutations whose diagram lies in u."""
+    return [x for x, d in image.items() if d.arcs <= u.arcs]
+
+
+def scan_by_avoidance(n, u):
+    """Oracle: scan S_n for the permutations with none of u's minimal forbidden patterns."""
+    patterns = minimal_contracted_generators(n, u)
+    return [x for x in all_permutations(n) if not any(has_pattern(x, g) for g in patterns)]
+
+
+def assert_routes_match_scans(n, u, image):
+    expected = scan_by_diagram(image, u)
+    assert scan_by_avoidance(n, u) == expected
+    assert list(uncontracted_permutations(n, u)) == expected
+    assert list(uncontracted_by_avoidance(n, u)) == expected
+
+
+@pytest.mark.parametrize("n", range(2, 8))
+def test_avoidance_route_matches_delta_route(n, delta_image):
+    # n = 1 has no arc to contract; the full arc set below covers it
     for _, u in random_congruences(n, 12, seed=3000 + n):
-        direct = list(uncontracted_permutations(n, u))
-        avoided = list(uncontracted_by_avoidance(n, u))
-        assert direct == avoided
+        assert_routes_match_scans(n, u, delta_image(n))
+
+
+@pytest.mark.parametrize("n", range(1, 9))
+@pytest.mark.parametrize("spec", ["tamari", "baxter", "clumped:1", "maxlen:3", "cambrian"])
+def test_listing_routes_match_scans_on_named_specs(n, spec, delta_image):
+    if spec == "cambrian":
+        spec += ":" + ("LR" * n)[:n]
+    assert_routes_match_scans(n, parse_congruence_spec(spec, n), delta_image(n))
+
+
+@pytest.mark.parametrize("n", range(1, 8))
+def test_full_arc_set_lists_all_of_s_n(n):
+    everything = list(all_permutations(n))
+    assert list(uncontracted_permutations(n, full_arc_set(n))) == everything
+    assert list(uncontracted_by_avoidance(n, full_arc_set(n))) == everything
+
+
+def test_listing_is_output_sensitive():
+    # 16,796 of the 3,628,800 permutations of S_10; a scan would visit them all
+    u = named_congruence(10, "tamari")
+    assert sum(1 for _ in uncontracted_permutations(10, u)) == catalan(10)
+    assert sum(1 for _ in uncontracted_by_avoidance(10, u)) == catalan(10)
 
 
 @pytest.mark.parametrize(

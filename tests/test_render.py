@@ -272,19 +272,31 @@ def pairwise_weak_covers(elements):
     return covers
 
 
+def scan_weak_dot(n, u):
+    """The quotient export with its nodes from a scan of S_n and its covers found pairwise."""
+    elements = [x for x in all_permutations(n) if diagram_from_permutation(x).arcs <= u.arcs]
+    covers = sorted(pairwise_weak_covers(elements), key=lambda e: (e[0].entries, e[1].entries))
+    expected = ["digraph weak_order {", "  rankdir=BT;"]
+    expected += [f'  "{x}";' for x in elements]
+    expected += [f'  "{x}" -> "{y}";' for x, y in covers]
+    expected.append("}")
+    return "\n".join(expected)
+
+
 @pytest.mark.parametrize("n", range(2, 6))
 def test_export_weak_quotient_matches_pairwise_covers(n):
     rng = random.Random(7000 + n)
     arcs = all_arcs(n)
     for _ in range(8):
         u = congruence_from_contracted(n, rng.sample(arcs, rng.randint(1, min(4, len(arcs)))))
-        elements = [x for x in all_permutations(n) if diagram_from_permutation(x).arcs <= u.arcs]
-        covers = sorted(pairwise_weak_covers(elements), key=lambda e: (e[0].entries, e[1].entries))
-        expected = ["digraph weak_order {", "  rankdir=BT;"]
-        expected += [f'  "{x}";' for x in elements]
-        expected += [f'  "{x}" -> "{y}";' for x, y in covers]
-        expected.append("}")
-        assert export_dot("weak", n, u) == "\n".join(expected)
+        assert export_dot("weak", n, u) == scan_weak_dot(n, u)
+
+
+@pytest.mark.parametrize("n", range(3, 7))
+@pytest.mark.parametrize("name", ["tamari", "baxter"])
+def test_export_weak_named_quotient_matches_scan(name, n):
+    u = named_congruence(n, name)
+    assert export_dot("weak", n, u) == scan_weak_dot(n, u)
 
 
 def test_export_weak_tamari_n8_counts():
