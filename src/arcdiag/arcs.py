@@ -71,6 +71,10 @@ def side_string(alpha: Arc) -> str:
     return "".join("R" if p in alpha.right else "L" for p in range(alpha.a + 1, alpha.b))
 
 
+def _bits(values: Iterable[int]) -> int:
+    return sum(1 << v for v in values)
+
+
 def arc_key(alpha: Arc) -> tuple[int, int, str]:
     """Canonical sort key: ascending (a, b, side string)."""
     return (alpha.a, alpha.b, side_string(alpha))
@@ -107,10 +111,15 @@ class ArcSet:
         return f"ArcSet({self.n}, {str(self)!r})"
 
     @cached_property
+    def _keys(self) -> frozenset[tuple[int, int, int]]:
+        """Each member as (a, b, right-mask), the mask holding bit v for a right value v."""
+        return frozenset((alpha.a, alpha.b, _bits(alpha.right)) for alpha in self.arcs)
+
+    @cached_property
     def subarc_closed(self) -> bool:
-        keys = {(alpha.a, alpha.b, alpha.right) for alpha in self.arcs}
-        return all((a, b - 1, r - {b - 1}) in keys and (a + 1, b, r - {a + 1}) in keys
-                   for a, b, r in keys if b > a + 1)
+        keys = self._keys
+        return all((a, b - 1, m & ~(1 << b - 1)) in keys and (a + 1, b, m & ~(1 << a + 1)) in keys
+                   for a, b, m in keys if b > a + 1)
 
 
 def all_arcs(n: int) -> list[Arc]:

@@ -5,10 +5,10 @@ Every subcommand prints plain text on stdout and returns an exit code:
 (bad flags, malformed text, out-of-range sizes).  `delta`, `inverse` and
 `render` take any n >= 1: their work grows polynomially with n.  The
 commands whose work grows with all arcs or all of S_n (`enumerate`,
-`complex`, `export`, `verify`), and `project`, whose walk rescans after
-every swap and whose `clumped:k` sets grow exponentially, refuse sizes
-above the cap in ARCDIAG_MAX_N (default 9) up front; `verify` stops at
-VERIFY_MAX_N (8) below that.
+`complex`, `export`, `verify`), and `project`, which builds and checks
+the whole arc set before its walk and whose `clumped:k` sets grow
+exponentially, refuse sizes above the cap in ARCDIAG_MAX_N (default 9)
+up front; `verify` stops at VERIFY_MAX_N (8) below that.
 """
 from __future__ import annotations
 

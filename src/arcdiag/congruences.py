@@ -32,7 +32,7 @@ from typing import Callable, Iterable, Iterator
 from .arcs import (
     Arc,
     ArcSet,
-    _cover_label,
+    _bits,
     _grown,
     arc_key,
     inflections,
@@ -98,10 +98,6 @@ def has_pattern(x: Permutation, alpha: Arc) -> bool:
     return False
 
 
-def _bits(values: Iterable[int]) -> int:
-    return sum(1 << v for v in values)
-
-
 def _prefix_walk(n: int, cut: Callable[[int, int, int], bool]) -> Iterator[Permutation]:
     """The permutations of 1..n in lexicographic order, pruned at descents.
 
@@ -132,7 +128,7 @@ def uncontracted_permutations(n: int, arcset: ArcSet) -> Iterator[Permutation]:
     ['123', '132', '213', '231', '321']
     """
     _require_congruence(n, arcset)
-    keys = {(alpha.a, alpha.b, _bits(alpha.right)) for alpha in arcset.arcs}
+    keys = arcset._keys
     yield from _prefix_walk(n, lambda a, b, used: (a, b, ~used & (1 << b) - (2 << a)) not in keys)
 
 
@@ -147,15 +143,24 @@ def uncontracted_by_avoidance(n: int, arcset: ArcSet) -> Iterator[Permutation]:
 
 
 def _walk(x: Permutation, arcset: ArcSet, down: bool) -> Permutation:
+    """Swap descents (ascents) at positions i, i+1 while their cover label is contracted.
+
+    A swap at i changes only the labels at i - 1 and i + 1, so only those
+    go back on the stack; no position off it needs a swap.
+    """
     _require_congruence(x.n, arcset)
-    while True:
-        e, pos = x.entries, positions(x)
-        for i in range(1, x.n):
-            if (e[i - 1] > e[i]) == down and _cover_label(x, pos, i) not in arcset.arcs:
-                x = Permutation(e[: i - 1] + (e[i], e[i - 1]) + e[i + 1 :])
-                break
-        else:
-            return x
+    keys, e, pos = arcset._keys, list(x.entries), [0, *positions(x)]
+    todo = list(range(x.n - 1, 0, -1))
+    while todo:
+        i = todo.pop()
+        if not 0 < i < x.n or (e[i - 1] > e[i]) != down:
+            continue
+        a, b = (e[i], e[i - 1]) if down else (e[i - 1], e[i])
+        if (a, b, sum(1 << v for v in range(a + 1, b) if pos[v] > i + 1)) not in keys:
+            e[i - 1], e[i] = e[i], e[i - 1]
+            pos[e[i - 1]], pos[e[i]] = i, i + 1
+            todo += (i + 1, i - 1)
+    return Permutation(tuple(e))
 
 
 def project_down(x: Permutation, arcset: ArcSet) -> Permutation:

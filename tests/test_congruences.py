@@ -4,6 +4,7 @@ import sys
 
 import pytest
 
+import arcdiag.congruences
 from arcdiag import (
     ArcSet,
     Permutation,
@@ -13,6 +14,7 @@ from arcdiag import (
     complex_faces,
     congruence_from_contracted,
     count_by_arcs,
+    export_dot,
     full_arc_set,
     has_pattern,
     inversions,
@@ -30,6 +32,8 @@ from arcdiag import (
     uncontracted_by_avoidance,
     uncontracted_permutations,
 )
+from arcdiag.arcs import _cover_label
+from arcdiag.perms import positions
 
 
 def random_congruences(n, count, seed):
@@ -314,6 +318,67 @@ def test_projections_match_join_oracle(n):
             # a class is an interval, so its top has the most inversions
             top = max(members, key=lambda x: len(inversions(x).pairs))
             assert all(project_up(x, u) == top for x in members)
+
+
+def rescanning_walk(x, u, down):
+    """Oracle: swap the first descent (ascent) with a contracted label, then rescan from position 1."""
+    while True:
+        e, pos = x.entries, positions(x)
+        for i in range(1, x.n):
+            if (e[i - 1] > e[i]) == down and _cover_label(x, pos, i) not in u.arcs:
+                x = Permutation(e[: i - 1] + (e[i], e[i - 1]) + e[i + 1 :])
+                break
+        else:
+            return x
+
+
+def assert_walks_match_oracle(xs, u):
+    for x in xs:
+        assert project_down(x, u) == rescanning_walk(x, u, down=True), (x, u)
+        assert project_up(x, u) == rescanning_walk(x, u, down=False), (x, u)
+
+
+def walk_specs(n):
+    yield from ("tamari", "baxter", "clumped:1", "maxlen:2", "maxlen:3")
+    yield "cambrian:" + ("LR" * n)[:n]
+
+
+@pytest.mark.parametrize("n", range(1, 8))
+def test_walk_matches_rescanning_oracle(n):
+    everything = list(all_permutations(n))
+    for spec in walk_specs(n):
+        assert_walks_match_oracle(everything, parse_congruence_spec(spec, n))
+    if n > 1:
+        for _, u in random_congruences(n, 3 if n == 7 else 6, seed=7000 + n):
+            assert_walks_match_oracle(everything, u)
+
+
+@pytest.mark.parametrize("spec", ["tamari", "baxter", "cambrian"])
+def test_walk_matches_rescanning_oracle_n100(spec):
+    n = 100
+    if spec == "cambrian":
+        spec += ":" + "LLR" * 33 + "L"
+    rng = random.Random(8100)
+    entries = list(range(1, n + 1))
+    rng.shuffle(entries)
+    u = parse_congruence_spec(spec, n)
+    assert_walks_match_oracle([Permutation(tuple(entries))], u)
+
+
+@pytest.mark.parametrize("n", [1, 2, 5, 12])
+def test_walk_matches_rescanning_oracle_at_the_extremes(n):
+    extremes = [Permutation(tuple(range(1, n + 1))), Permutation(tuple(range(n, 0, -1)))]
+    for u in [full_arc_set(n), *(parse_congruence_spec(spec, n) for spec in walk_specs(n))]:
+        assert_walks_match_oracle(extremes, u)
+
+
+@pytest.mark.parametrize("n", range(3, 8))
+@pytest.mark.parametrize("spec", ["tamari", "baxter", "clumped:1"])
+def test_weak_export_matches_rescanning_walk(n, spec, monkeypatch):
+    u = parse_congruence_spec(spec, n)
+    fast = export_dot("weak", n, u)
+    monkeypatch.setattr(arcdiag.congruences, "_walk", rescanning_walk)
+    assert export_dot("weak", n, u) == fast
 
 
 @pytest.mark.parametrize("n", range(2, 6))
