@@ -2,8 +2,9 @@
 
 An arc connects a lower endpoint a to an upper endpoint b > a on a
 vertical column of points 1..n (1 at the bottom) and passes each interior
-point on one side.  We store the set of interior points on the arc's
-right side; the left side is the complement within the interior.
+point on one side.  We store one bit per interior point, set when the
+point is on the arc's right; `right`, `left` and `interior` read the
+same fact back as point sets.
 
 Arcs are exactly the join-irreducible permutations in disguise: a single
 descent b > a with the values strictly between them split into those
@@ -26,23 +27,26 @@ from .perms import Permutation, descents, positions
 
 @dataclass(frozen=True)
 class Arc:
-    """An arc from a up to b with `right` the interior points on its right."""
+    """An arc from a up to b; bit i of `mask` is set when point a + 1 + i is on its right."""
 
     n: int
     a: int
     b: int
-    right: frozenset[int]
+    mask: int
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "right", frozenset(self.right))
         if not 1 <= self.a < self.b <= self.n:
             raise ValueError(f"need 1 <= a < b <= n, got a={self.a} b={self.b} n={self.n}")
-        if not self.right <= set(range(self.a + 1, self.b)):
-            raise ValueError(f"right side {sorted(self.right)} not inside ({self.a}, {self.b})")
+        if not 0 <= self.mask < 1 << (self.b - self.a - 1):
+            raise ValueError(f"mask {self.mask} does not fit the {self.b - self.a - 1} interior points")
 
     @property
     def interior(self) -> frozenset[int]:
         return frozenset(range(self.a + 1, self.b))
+
+    @property
+    def right(self) -> frozenset[int]:
+        return frozenset(p for p in range(self.a + 1, self.b) if self.mask >> (p - self.a - 1) & 1)
 
     @property
     def left(self) -> frozenset[int]:
@@ -57,22 +61,29 @@ class Arc:
         return f"Arc({self.n}, {str(self)!r})"
 
 
+_SIDE_LETTERS = str.maketrans("01", "LR")
+
+
 def make_arc(n: int, a: int, b: int, right: Iterable[int] = ()) -> Arc:
-    """Build an arc, coercing `right` to a frozenset.
+    """Build an arc from the interior points on its right.
 
     >>> str(make_arc(9, 4, 8, {6}))
     '4-8:LRL'
     """
-    return Arc(n, a, b, frozenset(right))
+    right = set(right)
+    if not all(a < p < b for p in right):
+        raise ValueError(f"right side {sorted(right)} not inside ({a}, {b})")
+    return Arc(n, a, b, sum(1 << (p - a - 1) for p in right))
 
 
 def side_string(alpha: Arc) -> str:
-    """One character per interior point, bottom to top, L or R."""
-    return "".join("R" if p in alpha.right else "L" for p in range(alpha.a + 1, alpha.b))
-
-
-def _bits(values: Iterable[int]) -> int:
-    return sum(1 << v for v in values)
+    """One character per interior point, bottom to top, L or R; each arc spells it once."""
+    sides = alpha.__dict__.get("_sides")
+    if sides is None:
+        # bin() spells the mask top bit first, after a 1 that pads it to b - a - 1 digits
+        sides = bin(alpha.mask | 1 << (alpha.b - alpha.a - 1))[:2:-1].translate(_SIDE_LETTERS)
+        alpha.__dict__["_sides"] = sides  # a cache outside the frozen fields, as cached_property keeps
+    return sides
 
 
 def arc_key(alpha: Arc) -> tuple[int, int, str]:
@@ -112,13 +123,13 @@ class ArcSet:
 
     @cached_property
     def _keys(self) -> frozenset[tuple[int, int, int]]:
-        """Each member as (a, b, right-mask), the mask holding bit v for a right value v."""
-        return frozenset((alpha.a, alpha.b, _bits(alpha.right)) for alpha in self.arcs)
+        """Each member as its (a, b, mask) key."""
+        return frozenset((alpha.a, alpha.b, alpha.mask) for alpha in self.arcs)
 
     @cached_property
     def subarc_closed(self) -> bool:
         keys = self._keys
-        return all((a, b - 1, m & ~(1 << b - 1)) in keys and (a + 1, b, m & ~(1 << a + 1)) in keys
+        return all((a, b - 1, m & ~(1 << (b - a - 2))) in keys and (a + 1, b, m >> 1) in keys
                    for a, b, m in keys if b > a + 1)
 
 
@@ -137,7 +148,7 @@ def _cover_label(x: Permutation, pos: tuple[int, ...], i: int) -> Arc:
     b, a = e[i - 1], e[i]
     if a > b:
         a, b = b, a
-    return Arc(len(e), a, b, frozenset(v for v in range(a + 1, b) if pos[v - 1] > i + 1))
+    return Arc(len(e), a, b, sum(1 << (v - a - 1) for v in range(a + 1, b) if pos[v - 1] > i + 1))
 
 
 def arc_from_ji(x: Permutation) -> Arc:
@@ -273,8 +284,8 @@ def subarc_covers(beta: Arc) -> tuple[Arc, ...]:
     if beta.b == beta.a + 1:
         return ()
     return (
-        Arc(beta.n, beta.a, beta.b - 1, beta.right - {beta.b - 1}),
-        Arc(beta.n, beta.a + 1, beta.b, beta.right - {beta.a + 1}),
+        Arc(beta.n, beta.a, beta.b - 1, beta.mask & ~(1 << (beta.b - beta.a - 2))),
+        Arc(beta.n, beta.a + 1, beta.b, beta.mask >> 1),
     )
 
 
@@ -285,21 +296,21 @@ def _grown(n: int, keep: Callable[[Arc], bool]) -> tuple[list[Arc], list[Arc]]:
     arc from a to b extends to b + 1, with b on either side, when its other
     subarc cover (from a + 1, looked up by key, not built) was kept too.
     """
-    kept: dict[tuple[int, int, frozenset[int]], Arc] = {}
+    kept: dict[tuple[int, int, int], Arc] = {}
     failed: list[Arc] = []
-    tried = [Arc(n, a, a + 1, frozenset()) for a in range(1, n)]
+    tried = [Arc(n, a, a + 1, 0) for a in range(1, n)]
     while tried:
         for alpha in tried:
             if keep(alpha):
-                kept[alpha.a, alpha.b, alpha.right] = alpha
+                kept[alpha.a, alpha.b, alpha.mask] = alpha
             else:
                 failed.append(alpha)
         tried = [
-            Arc(n, alpha.a, alpha.b + 1, right)
+            Arc(n, alpha.a, alpha.b + 1, mask)
             for alpha in tried
-            if alpha.b < n and (alpha.a, alpha.b, alpha.right) in kept
-            for right in (alpha.right, alpha.right | {alpha.b})
-            if (alpha.a + 1, alpha.b + 1, right - {alpha.a + 1}) in kept
+            if alpha.b < n and (alpha.a, alpha.b, alpha.mask) in kept
+            for mask in (alpha.mask, alpha.mask | 1 << (alpha.b - alpha.a - 1))
+            if (alpha.a + 1, alpha.b + 1, mask >> 1) in kept
         ]
     return list(kept.values()), failed
 
@@ -310,5 +321,5 @@ def inflections(alpha: Arc) -> int:
     >>> inflections(make_arc(9, 4, 8, {6}))
     2
     """
-    right = alpha.right
-    return sum((p in right) != (p + 1 in right) for p in range(alpha.a + 1, alpha.b - 1))
+    pairs = (1 << (alpha.b - alpha.a - 1)) - 1 >> 1  # a bit per interior point but the top one
+    return ((alpha.mask ^ alpha.mask >> 1) & pairs).bit_count()

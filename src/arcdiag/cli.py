@@ -16,7 +16,6 @@ import argparse
 import os
 import sys
 
-from .arcs import arc_key
 from .congruences import complex_faces, project_down
 from .counting import VERIFY_MAX_N, count_by_arcs, full_arc_set, verify_report
 from .diagrams import Diagram, diagram_from_permutation, enumerate_diagrams, permutation_from_diagram
@@ -140,7 +139,7 @@ def _cmd_complex(args: argparse.Namespace) -> int:
     n = _check_n(args.n)
     arcset = parse_congruence_spec(args.congruence, n) if args.congruence else full_arc_set(n)
     for face in complex_faces(n, arcset):
-        print(";".join(str(alpha) for alpha in sorted(face, key=arc_key)))
+        print(format_diagram_body(Diagram(n, face)))
     return 0
 
 

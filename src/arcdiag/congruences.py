@@ -29,14 +29,7 @@ from __future__ import annotations
 
 from typing import Callable, Iterable, Iterator
 
-from .arcs import (
-    Arc,
-    ArcSet,
-    _bits,
-    _grown,
-    arc_key,
-    inflections,
-)
+from .arcs import Arc, ArcSet, _grown, arc_key, inflections
 from .diagrams import enumerate_diagrams
 from .perms import Permutation, positions
 
@@ -59,7 +52,8 @@ def congruence_from_contracted(n: int, generators: Iterable[Arc]) -> ArcSet:
 
     An arc survives exactly when none of the generators is a subarc of it.
 
-    >>> str(congruence_from_contracted(3, [Arc(3, 1, 3, frozenset({2}))]))
+    >>> from .arcs import make_arc
+    >>> str(congruence_from_contracted(3, [make_arc(3, 1, 3, {2})]))
     '1-2;1-3:L;2-3'
     """
     contracted = ArcSet(n, frozenset(generators))  # checks that they live on n points
@@ -82,9 +76,10 @@ def has_pattern(x: Permutation, alpha: Arc) -> bool:
     of alpha before position i and every right value after i+1.  The arc
     may live on fewer points than x.
 
-    >>> has_pattern(Permutation((3, 1, 2)), Arc(3, 1, 3, frozenset({2})))
+    >>> from .arcs import make_arc
+    >>> has_pattern(Permutation((3, 1, 2)), make_arc(3, 1, 3, {2}))
     True
-    >>> has_pattern(Permutation((2, 3, 1)), Arc(3, 1, 3, frozenset({2})))
+    >>> has_pattern(Permutation((2, 3, 1)), make_arc(3, 1, 3, {2}))
     False
     """
     if alpha.b > x.n:
@@ -123,20 +118,24 @@ def _prefix_walk(n: int, cut: Callable[[int, int, int], bool]) -> Iterator[Permu
 def uncontracted_permutations(n: int, arcset: ArcSet) -> Iterator[Permutation]:
     """Permutations whose diagram stays inside `arcset`, in lexicographic order.
 
-    >>> U = congruence_from_contracted(3, [Arc(3, 1, 3, frozenset({2}))])
+    >>> from .arcs import make_arc
+    >>> U = congruence_from_contracted(3, [make_arc(3, 1, 3, {2})])
     >>> [str(x) for x in uncontracted_permutations(3, U)]
     ['123', '132', '213', '231', '321']
     """
     _require_congruence(n, arcset)
     keys = arcset._keys
-    yield from _prefix_walk(n, lambda a, b, used: (a, b, ~used & (1 << b) - (2 << a)) not in keys)
+    # the newest descent's arc has on its right the interior values not yet used
+    yield from _prefix_walk(
+        n, lambda a, b, used: (a, b, (~used & (1 << b) - (2 << a)) >> (a + 1)) not in keys)
 
 
 def uncontracted_by_avoidance(n: int, arcset: ArcSet) -> Iterator[Permutation]:
     """The same list, cut where a minimal forbidden pattern occurs at the newest descent."""
     patterns = minimal_contracted_generators(n, arcset)
     # the (left, right) masks of the patterns a descent from b down to a can complete
-    at = {(a, b): [(_bits(g.left), _bits(g.right)) for g in patterns if a <= g.a and g.b <= b]
+    at = {(a, b): [(((1 << (g.b - g.a - 1)) - 1 ^ g.mask) << (g.a + 1), g.mask << (g.a + 1))
+                   for g in patterns if a <= g.a and g.b <= b]
           for a in range(1, n) for b in range(a + 1, n + 1)}
     yield from _prefix_walk(n, lambda a, b, used: any(
         not left & ~used and not right & used for left, right in at[a, b]))
@@ -156,7 +155,7 @@ def _walk(x: Permutation, arcset: ArcSet, down: bool) -> Permutation:
         if not 0 < i < x.n or (e[i - 1] > e[i]) != down:
             continue
         a, b = (e[i], e[i - 1]) if down else (e[i - 1], e[i])
-        if (a, b, sum(1 << v for v in range(a + 1, b) if pos[v] > i + 1)) not in keys:
+        if (a, b, sum(1 << v for v in range(a + 1, b) if pos[v] > i + 1) >> (a + 1)) not in keys:
             e[i - 1], e[i] = e[i], e[i - 1]
             pos[e[i - 1]], pos[e[i]] = i, i + 1
             todo += (i + 1, i - 1)
@@ -170,7 +169,8 @@ def project_down(x: Permutation, arcset: ArcSet) -> Permutation:
     swap stays inside the class, and a class is an interval, so the walk
     stops only at its bottom.  Idempotent and order preserving.
 
-    >>> U = congruence_from_contracted(3, [Arc(3, 1, 3, frozenset({2}))])
+    >>> from .arcs import make_arc
+    >>> U = congruence_from_contracted(3, [make_arc(3, 1, 3, {2})])
     >>> str(project_down(Permutation((3, 1, 2)), U)), str(project_up(Permutation((1, 3, 2)), U))
     ('132', '312')
     """
@@ -208,8 +208,10 @@ def named_congruence(
     if name == "cambrian":
         if orientation is None or len(orientation) != n or set(orientation) - set("LR"):
             raise ValueError(f"cambrian needs an orientation over L/R of length {n}")
+        # bit p - 1 for each point p that the arcs pass on their right
+        right = sum(1 << p for p, side in enumerate(orientation) if side == "L")
         members = [
-            Arc(n, a, b, frozenset(p for p in range(a + 1, b) if orientation[p - 1] == "L"))
+            Arc(n, a, b, right >> a & (1 << (b - a - 1)) - 1)
             for a in range(1, n)
             for b in range(a + 1, n + 1)
         ]

@@ -79,33 +79,16 @@ def _components(diagram: Diagram) -> list[_Component]:
         if ra != rb:
             parent[rb] = ra
 
-    members: dict[int, list[int]] = {}
+    members: dict[int, list[int]] = {}  # ascending points, components by their lowest
     for p in range(1, n + 1):
         members.setdefault(find(p), []).append(p)
-    lefts: dict[int, int] = {root: 0 for root in members}
-    rights: dict[int, int] = {root: 0 for root in members}
+    sides = {root: [sum(1 << p for p in pts)] * 2 for root, pts in members.items()}  # leftish, rightish
     for alpha in diagram.arcs:
-        root = find(alpha.a)
-        for p in alpha.left:
-            lefts[root] |= 1 << p
-        for p in alpha.right:
-            rights[root] |= 1 << p
-
-    out = []
-    for root, pts in sorted(members.items(), key=lambda kv: min(kv[1])):
-        point_mask = 0
-        for p in pts:
-            point_mask |= 1 << p
-        out.append(
-            _Component(
-                points_desc=tuple(sorted(pts, reverse=True)),
-                lo=min(pts),
-                hi=max(pts),
-                leftish=point_mask | lefts[root],
-                rightish=point_mask | rights[root],
-            )
-        )
-    return out
+        side = sides[find(alpha.a)]
+        side[0] |= ((1 << (alpha.b - alpha.a - 1)) - 1 ^ alpha.mask) << (alpha.a + 1)
+        side[1] |= alpha.mask << (alpha.a + 1)
+    return [_Component(tuple(reversed(pts)), pts[0], pts[-1], *sides[root])
+            for root, pts in members.items()]
 
 
 def deletion_stages(diagram: Diagram) -> list[tuple[int, ...]]:
@@ -202,10 +185,8 @@ def _forcing(arcs: Sequence[Arc]) -> tuple[dict[int, int], dict[int, int], list[
         bit = 1 << j
         lower[alpha.a] |= bit
         upper[alpha.b] |= bit
-        for p in alpha.right:
-            on_right[p] |= bit
-        for p in alpha.left:
-            on_left[p] |= bit
+        for k, p in enumerate(range(alpha.a + 1, alpha.b)):
+            (on_right if alpha.mask >> k & 1 else on_left)[p] |= bit
 
     right_of = []
     clash = []
@@ -214,10 +195,11 @@ def _forcing(arcs: Sequence[Arc]) -> tuple[dict[int, int], dict[int, int], list[
         # an endpoint of alpha forces only arcs passing it in their interior
         forced_left_of_alpha = on_right[a] | on_right[b]
         forced_right_of_alpha = on_left[a] | on_left[b]
-        for p in alpha.left:
-            forced_left_of_alpha |= on_right[p] | lower[p] | upper[p]
-        for p in alpha.right:
-            forced_right_of_alpha |= on_left[p] | lower[p] | upper[p]
+        for k, p in enumerate(range(a + 1, b)):
+            if alpha.mask >> k & 1:
+                forced_right_of_alpha |= on_left[p] | lower[p] | upper[p]
+            else:
+                forced_left_of_alpha |= on_right[p] | lower[p] | upper[p]
         right_of.append(forced_left_of_alpha)
         both = (forced_left_of_alpha & forced_right_of_alpha) | lower[a] | upper[b]
         clash.append(both & ~(1 << i))
@@ -286,7 +268,7 @@ def count_diagrams(n: int, arcset: ArcSet | None = None) -> tuple[int, ...]:
 
     >>> count_diagrams(4)
     (1, 11, 11, 1)
-    >>> left_arcs = ArcSet(4, frozenset(alpha for alpha in all_arcs(4) if not alpha.right))
+    >>> left_arcs = ArcSet(4, frozenset(alpha for alpha in all_arcs(4) if not alpha.mask))
     >>> count_diagrams(4, left_arcs)
     (1, 6, 6, 1)
     """
@@ -327,7 +309,8 @@ def classify_diagram(diagram: Diagram) -> DiagramClass:
     A matching uses every point at most once as an endpoint; a perfect
     matching uses every point exactly once.
 
-    >>> d = validate_diagram(4, [Arc(4, 1, 2, frozenset()), Arc(4, 3, 4, frozenset())])
+    >>> from .arcs import make_arc
+    >>> d = validate_diagram(4, [make_arc(4, 1, 2), make_arc(4, 3, 4)])
     >>> classify_diagram(d)
     DiagramClass(is_matching=True, is_perfect_matching=True)
     """

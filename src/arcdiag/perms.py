@@ -184,17 +184,15 @@ def _pair_masks(inv: InversionSet) -> list[int]:
 def _decode(below: list[int]) -> Permutation:
     """The permutation whose `_masks` are `below`; ValueError when there is none.
 
-    Each value is placed by counting the values the masks put before it:
-    the smaller ones it does not invert and the larger ones that invert
-    it.  Masks no permutation has still order the values, so the order's
-    own masks must give `below` back.
+    The values go in by insertion, smallest first: among 1..v, v follows
+    exactly the smaller values it does not invert.  Masks no permutation
+    has still place every value, so the word's own masks must give
+    `below` back.
     """
-    n = len(below) - 1
-
-    def before(v: int) -> int:
-        return v - 1 - below[v].bit_count() + sum(below[w] >> v & 1 for w in range(v + 1, n + 1))
-
-    x = Permutation(tuple(sorted(range(1, n + 1), key=before)))
+    word: list[int] = []
+    for v in range(1, len(below)):
+        word.insert(v - 1 - below[v].bit_count(), v)
+    x = Permutation(tuple(word))
     if _masks(x) != below:
         raise ValueError("pair set is not the inversion set of any permutation")
     return x
@@ -212,8 +210,8 @@ def is_valid_inversion_set(inv: InversionSet) -> bool:
 def permutation_from_inversions(inv: InversionSet) -> Permutation:
     """Decode a valid inversion set back to its permutation.
 
-    Each value's position is counted off the pairs, and the round trip is
-    checked so malformed input fails loudly.
+    The values are placed by insertion off the pairs, and the round trip
+    is checked so malformed input fails loudly.
 
     >>> x = Permutation((2, 5, 3, 1, 4))
     >>> permutation_from_inversions(inversions(x)) == x

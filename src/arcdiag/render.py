@@ -36,10 +36,11 @@ def arc_offsets(diagram: Diagram) -> dict[Arc, dict[int, int]]:
     offsets: dict[Arc, dict[int, int]] = {}
     for alpha, left_of_alpha in zip(arcs, right_of):
         per = offsets[alpha] = {alpha.a: 0, alpha.b: 0}
-        for p in alpha.left:
-            per[p] = (left_of_alpha & on_left[p]).bit_count() + 1
-        for p in alpha.right:
-            per[p] = (left_of_alpha & on_right[p]).bit_count() - on_right[p].bit_count()
+        for i, p in enumerate(range(alpha.a + 1, alpha.b)):
+            if alpha.mask >> i & 1:
+                per[p] = (left_of_alpha & on_right[p]).bit_count() - on_right[p].bit_count()
+            else:
+                per[p] = (left_of_alpha & on_left[p]).bit_count() + 1
     return offsets
 
 

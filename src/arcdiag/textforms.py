@@ -102,7 +102,7 @@ def parse_arc(text: str, n: int, base_offset: int = 0) -> Arc:
             base_offset + len(text),
         )
     try:
-        return Arc(n, a, b, frozenset(a + 1 + i for i, ch in enumerate(sides) if ch == "R"))
+        return Arc(n, a, b, int(sides[::-1].replace("L", "0").replace("R", "1") or "0", 2))
     except ValueError as exc:
         raise ParseError(str(exc), base_offset) from None
 

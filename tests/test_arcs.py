@@ -10,6 +10,7 @@ from arcdiag import (
     all_arcs,
     all_permutations,
     arc_from_ji,
+    arc_key,
     compatible,
     descents,
     forces_right_of,
@@ -52,6 +53,40 @@ def test_make_arc_validates():
         make_arc(5, 0, 2, frozenset())
     with pytest.raises(ValueError):
         make_arc(5, 1, 3, {4})
+
+
+def test_arc_mask_must_fit_the_interior():
+    Arc(5, 1, 4, 3)
+    for mask in (-1, 4):
+        with pytest.raises(ValueError):
+            Arc(5, 1, 4, mask)
+    with pytest.raises(ValueError):
+        Arc(5, 2, 3, 1)
+    for p in (1, 4, 5):
+        with pytest.raises(ValueError):
+            make_arc(5, 1, 4, {p})
+
+
+@pytest.mark.parametrize("n", range(2, 9))
+def test_mask_readers_match_the_point_sets(n):
+    arcs = all_arcs(n)
+    # the side string spelled from the right view is the key the mask's cached string replaced
+    by_points = sorted(
+        arcs,
+        key=lambda alpha: (
+            alpha.a,
+            alpha.b,
+            "".join("R" if p in alpha.right else "L" for p in range(alpha.a + 1, alpha.b)),
+        ),
+    )
+    assert sorted(reversed(arcs), key=arc_key) == by_points
+    for alpha in arcs:
+        again = make_arc(n, alpha.a, alpha.b, alpha.right)
+        assert again == alpha and hash(again) == hash(alpha)
+        right = alpha.right
+        assert inflections(alpha) == sum(
+            (p in right) != (p + 1 in right) for p in range(alpha.a + 1, alpha.b - 1)
+        )
 
 
 def test_arc_text_form():

@@ -1,4 +1,5 @@
 import itertools
+import random
 
 import numpy as np
 import pytest
@@ -164,6 +165,14 @@ def test_canonical_join_recovers_element(n):
 def test_canonical_join_recovers_element_n8():
     for x in all_permutations(8):
         assert join(list(canonical_joinands(x)), n=8) == x
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_round_trips_at_n200(seed):
+    rng = random.Random(seed)
+    x = Permutation(tuple(rng.sample(range(1, 201), 200)))
+    assert join(canonical_joinands(x)) == x
+    assert permutation_from_inversions(inversions(x)) == x
 
 
 @pytest.mark.parametrize("n", range(2, 7))
