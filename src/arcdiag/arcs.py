@@ -20,9 +20,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Callable, Iterable
+from typing import Callable, Iterable, Iterator
 
-from .perms import Permutation, descents, positions
+from .perms import Permutation
 
 
 @dataclass(frozen=True)
@@ -61,7 +61,7 @@ class Arc:
         return f"Arc({self.n}, {str(self)!r})"
 
 
-_SIDE_LETTERS = str.maketrans("01", "LR")
+_SIDE_LETTERS, _SIDE_BITS = str.maketrans("01", "LR"), str.maketrans("LR", "01")
 
 
 def make_arc(n: int, a: int, b: int, right: Iterable[int] = ()) -> Arc:
@@ -84,6 +84,11 @@ def side_string(alpha: Arc) -> str:
         sides = bin(alpha.mask | 1 << (alpha.b - alpha.a - 1))[:2:-1].translate(_SIDE_LETTERS)
         alpha.__dict__["_sides"] = sides  # a cache outside the frozen fields, as cached_property keeps
     return sides
+
+
+def side_mask(sides: str) -> int:
+    """The mask of a string over L and R; inverse of `side_string`."""
+    return int(sides[::-1].translate(_SIDE_BITS) or "0", 2)
 
 
 def arc_key(alpha: Arc) -> tuple[int, int, str]:
@@ -138,17 +143,19 @@ def all_arcs(n: int) -> list[Arc]:
     return sorted(_grown(n, lambda alpha: True)[0], key=arc_key)
 
 
-def _cover_label(x: Permutation, pos: tuple[int, ...], i: int) -> Arc:
-    """The arc labelling the weak-order cover that swaps positions i and i+1 of x.
+def _right_mask(a: int, b: int, before: int) -> int:
+    """The arc mask of a descent b > a: the values in (a, b) missing from `before`, a bit per value."""
+    return (~before & (1 << b) - (2 << a)) >> (a + 1)
 
-    It is the arc of the upper end's joinand at descent i, given `pos =
-    positions(x)`; the swap moves no in-between value, so x may be either end.
-    """
-    e = x.entries
-    b, a = e[i - 1], e[i]
-    if a > b:
-        a, b = b, a
-    return Arc(len(e), a, b, sum(1 << (v - a - 1) for v in range(a + 1, b) if pos[v - 1] > i + 1))
+
+def _descent_arcs(x: Permutation) -> Iterator[tuple[int, Arc]]:
+    """(i, arc) per descent i of x in one pass; the arc also labels the cover swapping i and i+1."""
+    e, before = x.entries, 0
+    for i in range(1, x.n):
+        b, a = e[i - 1], e[i]
+        if b > a:
+            yield i, Arc(x.n, a, b, _right_mask(a, b, before))
+        before |= 1 << b
 
 
 def arc_from_ji(x: Permutation) -> Arc:
@@ -160,10 +167,10 @@ def arc_from_ji(x: Permutation) -> Arc:
     >>> str(arc_from_ji(Permutation((1, 2, 3, 5, 7, 8, 4, 6, 9))))
     '4-8:LRL'
     """
-    ds = descents(x)
-    if len(ds) != 1:
-        raise ValueError(f"{x} has {len(ds)} descents, join-irreducibles have exactly 1")
-    return _cover_label(x, positions(x), ds[0])
+    found = [alpha for _, alpha in _descent_arcs(x)]
+    if len(found) != 1:
+        raise ValueError(f"{x} has {len(found)} descents, join-irreducibles have exactly 1")
+    return found[0]
 
 
 def ji_from_arc(alpha: Arc) -> Permutation:
@@ -172,14 +179,8 @@ def ji_from_arc(alpha: Arc) -> Permutation:
     >>> str(ji_from_arc(make_arc(9, 4, 8, {6})))
     '123578469'
     """
-    word = (
-        tuple(range(1, alpha.a))
-        + tuple(sorted(alpha.left))
-        + (alpha.b, alpha.a)
-        + tuple(sorted(alpha.right))
-        + tuple(range(alpha.b + 1, alpha.n + 1))
-    )
-    return Permutation(word)
+    a, b = alpha.a, alpha.b
+    return Permutation((*range(1, a), *sorted(alpha.left), b, a, *sorted(alpha.right), *range(b + 1, alpha.n + 1)))
 
 
 def joinand_at(x: Permutation, i: int) -> Permutation:
@@ -193,9 +194,10 @@ def joinand_at(x: Permutation, i: int) -> Permutation:
     >>> str(joinand_at(Permutation((3, 4, 2, 1)), 3))
     '2134'
     """
-    if i not in descents(x):
-        raise ValueError(f"position {i} is not a descent of {x}")
-    return ji_from_arc(_cover_label(x, positions(x), i))
+    for j, alpha in _descent_arcs(x):
+        if j == i:
+            return ji_from_arc(alpha)
+    raise ValueError(f"position {i} is not a descent of {x}")
 
 
 def canonical_joinands(x: Permutation) -> frozenset[Permutation]:
@@ -204,8 +206,7 @@ def canonical_joinands(x: Permutation) -> frozenset[Permutation]:
     >>> sorted(str(j) for j in canonical_joinands(Permutation((3, 4, 2, 1))))
     ['1342', '2134']
     """
-    pos = positions(x)
-    return frozenset(ji_from_arc(_cover_label(x, pos, i)) for i in descents(x))
+    return frozenset(ji_from_arc(alpha) for _, alpha in _descent_arcs(x))
 
 
 def forces_right_of(first: Arc, second: Arc) -> int | None:

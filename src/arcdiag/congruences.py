@@ -8,15 +8,17 @@ when it is closed under passing to subarcs; we keep the uncontracted
 set U.
 
 Permutations untouched by the congruence are those whose every descent
-has its arc in U.  Both listings place values left to right and cut a
-prefix at its newest descent, whose arc the prefix fixes: one route
-looks the arc up in U, the other checks the descent patterns (see
-`has_pattern`) that the subarc-minimal contracted arcs forbid.
+has its arc in U.  A descent's arc has on its right the values between
+its ends missing from the mask of values before it.  Both listings place
+values left to right carrying that mask and cut a prefix at its newest
+descent: one route looks the arc up in U, the other checks the descent
+patterns (see `has_pattern`) that the subarc-minimal contracted arcs forbid.
 
 A congruence contracts the weak-order cover that swaps a descent of x
 exactly when it contracts that descent's arc, the cover's label.  Walks
-swapping contracted descents (ascents) reach class bottoms (tops), and
-the quotient's covers are the bottoms of the upper covers of each top.
+swapping contracted descents (ascents), keeping the same mask per
+position, reach class bottoms (tops); the quotient's covers are the
+bottoms of the upper covers of each top.
 
 Named families come from three rules:
 
@@ -29,7 +31,7 @@ from __future__ import annotations
 
 from typing import Callable, Iterable, Iterator
 
-from .arcs import Arc, ArcSet, _grown, arc_key, inflections
+from .arcs import Arc, ArcSet, _grown, _right_mask, arc_key, inflections
 from .diagrams import enumerate_diagrams
 from .perms import Permutation, positions
 
@@ -125,9 +127,7 @@ def uncontracted_permutations(n: int, arcset: ArcSet) -> Iterator[Permutation]:
     """
     _require_congruence(n, arcset)
     keys = arcset._keys
-    # the newest descent's arc has on its right the interior values not yet used
-    yield from _prefix_walk(
-        n, lambda a, b, used: (a, b, (~used & (1 << b) - (2 << a)) >> (a + 1)) not in keys)
+    yield from _prefix_walk(n, lambda a, b, used: (a, b, _right_mask(a, b, used)) not in keys)
 
 
 def uncontracted_by_avoidance(n: int, arcset: ArcSet) -> Iterator[Permutation]:
@@ -144,20 +144,23 @@ def uncontracted_by_avoidance(n: int, arcset: ArcSet) -> Iterator[Permutation]:
 def _walk(x: Permutation, arcset: ArcSet, down: bool) -> Permutation:
     """Swap descents (ascents) at positions i, i+1 while their cover label is contracted.
 
-    A swap at i changes only the labels at i - 1 and i + 1, so only those
-    go back on the stack; no position off it needs a swap.
+    The label's right side is read from `before[i]`, the values at
+    positions 1..i-1.  A swap at i changes only `before[i + 1]` and the
+    labels at i - 1 and i + 1, so only those go back on the stack.
     """
     _require_congruence(x.n, arcset)
-    keys, e, pos = arcset._keys, list(x.entries), [0, *positions(x)]
+    keys, e, before = arcset._keys, list(x.entries), [0, 0]
+    for v in e[:-1]:
+        before.append(before[-1] | 1 << v)
     todo = list(range(x.n - 1, 0, -1))
     while todo:
         i = todo.pop()
         if not 0 < i < x.n or (e[i - 1] > e[i]) != down:
             continue
         a, b = (e[i], e[i - 1]) if down else (e[i - 1], e[i])
-        if (a, b, sum(1 << v for v in range(a + 1, b) if pos[v] > i + 1) >> (a + 1)) not in keys:
+        if (a, b, _right_mask(a, b, before[i])) not in keys:
             e[i - 1], e[i] = e[i], e[i - 1]
-            pos[e[i - 1]], pos[e[i]] = i, i + 1
+            before[i + 1] = before[i] | 1 << e[i - 1]
             todo += (i + 1, i - 1)
     return Permutation(tuple(e))
 

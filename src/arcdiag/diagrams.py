@@ -20,8 +20,8 @@ from collections import defaultdict
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Sequence
 
-from .arcs import Arc, ArcSet, _cover_label, all_arcs, incompatibility_reason
-from .perms import Permutation, descents, positions
+from .arcs import Arc, ArcSet, _descent_arcs, all_arcs, incompatibility_reason
+from .perms import Permutation
 
 
 Diagram = ArcSet  # with pairwise compatible arcs; `validate_diagram` checks them
@@ -51,8 +51,7 @@ def diagram_from_permutation(x: Permutation) -> Diagram:
     >>> str(diagram_from_permutation(Permutation((1, 5, 7, 8, 4, 2, 9, 3, 6))))
     '2-4:R;3-9:LLRLL;4-8:LRL'
     """
-    pos = positions(x)
-    return Diagram(x.n, frozenset([_cover_label(x, pos, i) for i in descents(x)]))
+    return Diagram(x.n, frozenset([alpha for _, alpha in _descent_arcs(x)]))
 
 
 @dataclass(frozen=True)

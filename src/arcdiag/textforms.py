@@ -7,7 +7,7 @@ the byte offset of the offending character.
 """
 from __future__ import annotations
 
-from .arcs import Arc, ArcSet
+from .arcs import Arc, ArcSet, side_mask
 from .congruences import named_congruence
 from .diagrams import Diagram, validate_diagram
 from .perms import Permutation
@@ -102,7 +102,7 @@ def parse_arc(text: str, n: int, base_offset: int = 0) -> Arc:
             base_offset + len(text),
         )
     try:
-        return Arc(n, a, b, int(sides[::-1].replace("L", "0").replace("R", "1") or "0", 2))
+        return Arc(n, a, b, side_mask(sides))
     except ValueError as exc:
         raise ParseError(str(exc), base_offset) from None
 

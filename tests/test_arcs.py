@@ -22,6 +22,7 @@ from arcdiag import (
     make_arc,
     subarc_covers,
 )
+from arcdiag.arcs import side_mask, side_string
 
 
 def arcs_st(n):
@@ -83,6 +84,7 @@ def test_mask_readers_match_the_point_sets(n):
     for alpha in arcs:
         again = make_arc(n, alpha.a, alpha.b, alpha.right)
         assert again == alpha and hash(again) == hash(alpha)
+        assert side_mask(side_string(alpha)) == alpha.mask
         right = alpha.right
         assert inflections(alpha) == sum(
             (p in right) != (p + 1 in right) for p in range(alpha.a + 1, alpha.b - 1)

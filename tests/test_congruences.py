@@ -6,14 +6,17 @@ import pytest
 
 import arcdiag.congruences
 from arcdiag import (
+    Arc,
     ArcSet,
     Permutation,
     all_arcs,
     all_permutations,
+    canonical_joinands,
     catalan,
     complex_faces,
     congruence_from_contracted,
     count_by_arcs,
+    diagram_from_permutation,
     export_dot,
     full_arc_set,
     has_pattern,
@@ -32,7 +35,6 @@ from arcdiag import (
     uncontracted_by_avoidance,
     uncontracted_permutations,
 )
-from arcdiag.arcs import _cover_label
 from arcdiag.perms import positions
 
 
@@ -320,12 +322,43 @@ def test_projections_match_join_oracle(n):
             assert all(project_up(x, u) == top for x in members)
 
 
+def scanned_label(x, pos, i):
+    """Oracle: the arc of the cover swapping positions i and i+1, given `pos = positions(x)`.
+
+    Its right side holds the values between the two entries that sit after
+    position i + 1, found by scanning their positions.
+    """
+    e = x.entries
+    a, b = sorted(e[i - 1 : i + 1])
+    return Arc(x.n, a, b, sum(1 << (v - a - 1) for v in range(a + 1, b) if pos[v - 1] > i + 1))
+
+
+def assert_descent_arcs_match_scan(x):
+    e, pos = x.entries, positions(x)
+    scanned = {scanned_label(x, pos, i) for i in range(1, x.n) if e[i - 1] > e[i]}
+    assert diagram_from_permutation(x).arcs == scanned, x
+    assert canonical_joinands(x) == {ji_from_arc(alpha) for alpha in scanned}, x
+
+
+@pytest.mark.parametrize("n", range(1, 8))
+def test_descent_arcs_match_position_scan(n):
+    for x in all_permutations(n):
+        assert_descent_arcs_match_scan(x)
+
+
+@pytest.mark.parametrize("seed", [14001, 14002, 14003])
+def test_descent_arcs_match_position_scan_n200(seed):
+    entries = list(range(1, 201))
+    random.Random(seed).shuffle(entries)
+    assert_descent_arcs_match_scan(Permutation(tuple(entries)))
+
+
 def rescanning_walk(x, u, down):
     """Oracle: swap the first descent (ascent) with a contracted label, then rescan from position 1."""
     while True:
         e, pos = x.entries, positions(x)
         for i in range(1, x.n):
-            if (e[i - 1] > e[i]) == down and _cover_label(x, pos, i) not in u.arcs:
+            if (e[i - 1] > e[i]) == down and scanned_label(x, pos, i) not in u.arcs:
                 x = Permutation(e[: i - 1] + (e[i], e[i - 1]) + e[i + 1 :])
                 break
         else:
