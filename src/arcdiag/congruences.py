@@ -10,9 +10,11 @@ set U.
 Permutations untouched by the congruence are those whose every descent
 has its arc in U.  A descent's arc has on its right the values between
 its ends missing from the mask of values before it.  Both listings place
-values left to right carrying that mask and cut a prefix at its newest
-descent: one route looks the arc up in U, the other checks the descent
-patterns (see `has_pattern`) that the subarc-minimal contracted arcs forbid.
+values left to right on one stack carrying that mask, and keep a prefix
+only while `keep` accepts the (a, b, mask) key of its newest descent's
+arc: one route looks the key up in U, the other asks a memo that decides
+once per key whether a subarc-minimal contracted arc lies below the arc,
+that is, whether its forbidden descent pattern (see `has_pattern`) occurs.
 
 A congruence contracts the weak-order cover that swaps a descent of x
 exactly when it contracts that descent's arc, the cover's label.  Walks
@@ -95,26 +97,35 @@ def has_pattern(x: Permutation, alpha: Arc) -> bool:
     return False
 
 
-def _prefix_walk(n: int, cut: Callable[[int, int, int], bool]) -> Iterator[Permutation]:
+def _prefix_walk(n: int, keep: Callable[[tuple[int, int, int]], bool]) -> Iterator[Permutation]:
     """The permutations of 1..n in lexicographic order, pruned at descents.
 
     Placing a after b > a forms a descent whose interior values in `used`
-    (a bit per placed value) sit left of it, the rest right; when
-    `cut(a, b, used)` holds the prefix goes with all its completions.
+    (a bit per placed value) sit left of it, the rest right; unless
+    `keep((a, b, _right_mask(a, b, used)))` holds, the prefix goes with
+    all its completions.  A stack holds (prefix, unplaced values, used);
+    children go on in reverse, so they come off smallest first, and the
+    last two values are placed inline.
     """
-    word: list[int] = []
-
-    def extend(used: int) -> Iterator[Permutation]:
-        if len(word) == n:
-            yield Permutation(tuple(word))
-            return
-        for v in range(1, n + 1):
-            if not used >> v & 1 and not (word and v < word[-1] and cut(v, word[-1], used)):
-                word.append(v)
-                yield from extend(used | 1 << v)
-                word.pop()
-
-    return extend(0)
+    if n < 2:
+        yield Permutation(tuple(range(1, n + 1)))
+        return
+    stack = [((), tuple(range(1, n + 1)), 0)]
+    while stack:
+        word, rest, used = stack.pop()
+        b = word[-1] if word else 0  # the first value forms no descent
+        if len(rest) == 2:
+            u, w = rest
+            if u > b or keep((u, b, _right_mask(u, b, used))):
+                yield Permutation(word + rest)
+            # every value between u and w is placed, so the arc of w > u has no right side
+            if (w > b or keep((w, b, _right_mask(w, b, used)))) and keep((u, w, 0)):
+                yield Permutation(word + (w, u))
+            continue
+        for j in range(len(rest) - 1, -1, -1):
+            v = rest[j]
+            if v > b or keep((v, b, _right_mask(v, b, used))):
+                stack.append((word + (v,), rest[:j] + rest[j + 1:], used | 1 << v))
 
 
 def uncontracted_permutations(n: int, arcset: ArcSet) -> Iterator[Permutation]:
@@ -126,19 +137,32 @@ def uncontracted_permutations(n: int, arcset: ArcSet) -> Iterator[Permutation]:
     ['123', '132', '213', '231', '321']
     """
     _require_congruence(n, arcset)
-    keys = arcset._keys
-    yield from _prefix_walk(n, lambda a, b, used: (a, b, _right_mask(a, b, used)) not in keys)
+    yield from _prefix_walk(n, arcset._keys.__contains__)
+
+
+class _PatternMemo(dict):
+    """Arc key -> whether no minimal contracted arc is a subarc of that arc, decided once per key."""
+
+    def __init__(self, patterns: Iterable[Arc]) -> None:
+        super().__init__()
+        # (a, b, interior bits, right bits) per pattern, a bit per value
+        self.patterns = [(g.a, g.b, (1 << g.b) - (2 << g.a), g.mask << (g.a + 1)) for g in patterns]
+
+    def __missing__(self, key: tuple[int, int, int]) -> bool:
+        a, b, mask = key
+        right = mask << (a + 1)
+        self[key] = kept = not any(a <= ga and gb <= b and right & inner == gright
+                                   for ga, gb, inner, gright in self.patterns)
+        return kept
 
 
 def uncontracted_by_avoidance(n: int, arcset: ArcSet) -> Iterator[Permutation]:
-    """The same list, cut where a minimal forbidden pattern occurs at the newest descent."""
-    patterns = minimal_contracted_generators(n, arcset)
-    # the (left, right) masks of the patterns a descent from b down to a can complete
-    at = {(a, b): [(((1 << (g.b - g.a - 1)) - 1 ^ g.mask) << (g.a + 1), g.mask << (g.a + 1))
-                   for g in patterns if a <= g.a and g.b <= b]
-          for a in range(1, n) for b in range(a + 1, n + 1)}
-    yield from _prefix_walk(n, lambda a, b, used: any(
-        not left & ~used and not right & used for left, right in at[a, b]))
+    """The same list, cut where a minimal forbidden pattern occurs at the newest descent.
+
+    The pattern of g occurs at a descent exactly when g is a subarc of
+    the descent's arc: g's left values are placed and its right values not.
+    """
+    yield from _prefix_walk(n, _PatternMemo(minimal_contracted_generators(n, arcset)).__getitem__)
 
 
 def _walk(x: Permutation, arcset: ArcSet, down: bool) -> Permutation:
@@ -149,13 +173,13 @@ def _walk(x: Permutation, arcset: ArcSet, down: bool) -> Permutation:
     labels at i - 1 and i + 1, so only those go back on the stack.
     """
     _require_congruence(x.n, arcset)
-    keys, e, before = arcset._keys, list(x.entries), [0, 0]
+    keys, e, before, n = arcset._keys, list(x.entries), [0, 0], x.n
     for v in e[:-1]:
         before.append(before[-1] | 1 << v)
-    todo = list(range(x.n - 1, 0, -1))
+    todo = list(range(n - 1, 0, -1))
     while todo:
         i = todo.pop()
-        if not 0 < i < x.n or (e[i - 1] > e[i]) != down:
+        if not 0 < i < n or (e[i - 1] > e[i]) != down:
             continue
         a, b = (e[i], e[i - 1]) if down else (e[i - 1], e[i])
         if (a, b, _right_mask(a, b, before[i])) not in keys:

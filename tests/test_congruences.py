@@ -158,6 +158,50 @@ def test_full_arc_set_lists_all_of_s_n(n):
     assert list(uncontracted_by_avoidance(n, full_arc_set(n))) == everything
 
 
+@pytest.mark.parametrize("route", [uncontracted_permutations, uncontracted_by_avoidance],
+                         ids=lambda route: route.__name__)
+def test_listing_at_the_smallest_sizes_and_the_empty_set(route):
+    # the walk places the last two values inline; n = 2 is nothing but that step
+    assert [str(x) for x in route(0, full_arc_set(0))] == [""]
+    assert [str(x) for x in route(1, full_arc_set(1))] == ["1"]
+    assert [str(x) for x in route(2, full_arc_set(2))] == ["12", "21"]
+    assert [str(x) for x in route(2, ArcSet(2, frozenset()))] == ["12"]
+    assert list(route(4, ArcSet(4, frozenset()))) == [Permutation((1, 2, 3, 4))]
+
+
+def seeded_contract_sets(n, count, seed):
+    """Sets made by contracting three seeded long arcs; they keep most of S_n."""
+    rng = random.Random(seed)
+    longest = [alpha for alpha in all_arcs(n) if alpha.b - alpha.a >= n - 2]
+    for _ in range(count):
+        yield congruence_from_contracted(n, rng.sample(longest, min(3, len(longest))))
+
+
+@pytest.mark.parametrize("n", range(3, 9))
+def test_listing_routes_match_scans_on_contract_sets(n, delta_image):
+    for u in seeded_contract_sets(n, 2 if n == 8 else 4, seed=15000 + n):
+        assert_routes_match_scans(n, u, delta_image(n))
+
+
+def test_pattern_rule_runs_once_per_arc_key(monkeypatch):
+    decided = []
+    missing = arcdiag.congruences._PatternMemo.__missing__
+
+    def counted(memo, key):
+        kept = missing(memo, key)
+        decided.append((key, kept))
+        return kept
+
+    monkeypatch.setattr(arcdiag.congruences._PatternMemo, "__missing__", counted)
+    u = named_congruence(7, "clumped", k=1)
+    assert list(uncontracted_by_avoidance(7, u)) == list(uncontracted_permutations(7, u))
+    keys = [key for key, _ in decided]
+    assert len(keys) == len(set(keys))
+    # for a closed set, no minimal contracted arc below an arc means the arc is in it
+    assert all(kept == (key in u._keys) for key, kept in decided)
+    assert any(not kept for _, kept in decided)
+
+
 def test_listing_is_output_sensitive():
     # 16,796 of the 3,628,800 permutations of S_10; a scan would visit them all
     u = named_congruence(10, "tamari")
