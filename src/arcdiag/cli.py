@@ -13,10 +13,12 @@ up front; `verify` stops at VERIFY_MAX_N (8) below that.
 from __future__ import annotations
 
 import argparse
+import functools
 import os
 import sys
 
-from .congruences import complex_faces, project_down
+from .arcs import ArcSet
+from .congruences import project_down
 from .counting import VERIFY_MAX_N, count_by_arcs, full_arc_set, verify_report
 from .diagrams import Diagram, diagram_from_permutation, enumerate_diagrams, permutation_from_diagram
 from .render import export_dot, render_ascii, render_svg
@@ -87,20 +89,30 @@ def _cmd_inverse(args: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_enumerate(args: argparse.Namespace) -> int:
+def _listed_congruence(args: argparse.Namespace) -> tuple[int, ArcSet]:
+    """The checked --n and the arcs of --congruence, all arcs without one."""
     n = _check_n(args.n)
-    arcset = parse_congruence_spec(args.congruence, n) if args.congruence else full_arc_set(n)
+    return n, parse_congruence_spec(args.congruence, n) if args.congruence else full_arc_set(n)
+
+
+def _print_diagrams(n: int, arcset: ArcSet) -> int:
+    """Print every diagram drawn from `arcset`, one body per line; return how many."""
+    total = 0
+    for diagram in enumerate_diagrams(n, arcset):
+        print(format_diagram_body(diagram))
+        total += 1
+    return total
+
+
+def _cmd_enumerate(args: argparse.Namespace) -> int:
+    n, arcset = _listed_congruence(args)
     if args.by_arcs:
         table = count_by_arcs(n, arcset)
         for k, count in enumerate(table.counts):
             print(f"arcs={k} count={count}")
         print(f"total {table.total}")
         return 0
-    total = 0
-    for diagram in enumerate_diagrams(n, arcset):
-        print(format_diagram_body(diagram))
-        total += 1
-    print(f"total {total}")
+    print(f"total {_print_diagrams(n, arcset)}")
     return 0
 
 
@@ -136,10 +148,8 @@ def _cmd_export(args: argparse.Namespace) -> int:
 
 
 def _cmd_complex(args: argparse.Namespace) -> int:
-    n = _check_n(args.n)
-    arcset = parse_congruence_spec(args.congruence, n) if args.congruence else full_arc_set(n)
-    for face in complex_faces(n, arcset):
-        print(format_diagram_body(Diagram(n, face)))
+    # the faces of the canonical join complex are the diagrams drawn from the arcs
+    _print_diagrams(*_listed_congruence(args))
     return 0
 
 
@@ -152,7 +162,9 @@ def _cmd_verify(args: argparse.Namespace) -> int:
     return 0 if report.passed else 1
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built once per process; parsing leaves it unchanged."""
     parser = argparse.ArgumentParser(
         prog="arcdiag",
         description="Noncrossing arc diagrams for permutations and their lattice quotients.",

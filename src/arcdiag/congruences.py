@@ -19,8 +19,9 @@ that is, whether its forbidden descent pattern (see `has_pattern`) occurs.
 A congruence contracts the weak-order cover that swaps a descent of x
 exactly when it contracts that descent's arc, the cover's label.  Walks
 swapping contracted descents (ascents), keeping the same mask per
-position, reach class bottoms (tops); the quotient's covers are the
-bottoms of the upper covers of each top.
+position, reach class bottoms (tops).  A bottom's descents are all
+uncontracted, and the classes its class covers in the quotient are
+those of its lower covers, one per descent.
 
 Named families come from three rules:
 
@@ -108,7 +109,7 @@ def _prefix_walk(n: int, keep: Callable[[tuple[int, int, int]], bool]) -> Iterat
     last two values are placed inline.
     """
     if n < 2:
-        yield Permutation(tuple(range(1, n + 1)))
+        yield Permutation._trusted(tuple(range(1, n + 1)))
         return
     stack = [((), tuple(range(1, n + 1)), 0)]
     while stack:
@@ -117,10 +118,10 @@ def _prefix_walk(n: int, keep: Callable[[tuple[int, int, int]], bool]) -> Iterat
         if len(rest) == 2:
             u, w = rest
             if u > b or keep((u, b, _right_mask(u, b, used))):
-                yield Permutation(word + rest)
+                yield Permutation._trusted(word + rest)
             # every value between u and w is placed, so the arc of w > u has no right side
             if (w > b or keep((w, b, _right_mask(w, b, used)))) and keep((u, w, 0)):
-                yield Permutation(word + (w, u))
+                yield Permutation._trusted(word + (w, u))
             continue
         for j in range(len(rest) - 1, -1, -1):
             v = rest[j]
@@ -186,7 +187,7 @@ def _walk(x: Permutation, arcset: ArcSet, down: bool) -> Permutation:
             e[i - 1], e[i] = e[i], e[i - 1]
             before[i + 1] = before[i] | 1 << e[i - 1]
             todo += (i + 1, i - 1)
-    return Permutation(tuple(e))
+    return Permutation._trusted(tuple(e))
 
 
 def project_down(x: Permutation, arcset: ArcSet) -> Permutation:

@@ -147,7 +147,8 @@ def deletion_stages(diagram: Diagram) -> list[tuple[int, ...]]:
         order.append(comps[pick].points_desc)
         remaining.remove(pick)
     word = tuple(p for run in order for p in run)
-    if diagram_from_permutation(Permutation(word)) != diagram:
+    # each component goes in once and they partition 1..n, so the word is a permutation
+    if diagram_from_permutation(Permutation._trusted(word)) != diagram:
         raise ValueError(f"{diagram!r} is not a noncrossing arc diagram")
     return order
 
@@ -162,7 +163,7 @@ def permutation_from_diagram(diagram: Diagram) -> Permutation:
     word: list[int] = []
     for run in deletion_stages(diagram):
         word.extend(run)
-    return Permutation(tuple(word))
+    return Permutation._trusted(tuple(word))
 
 
 def _forcing(arcs: Sequence[Arc]) -> tuple[dict[int, int], dict[int, int], list[int], list[int]]:

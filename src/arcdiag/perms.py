@@ -32,6 +32,11 @@ class Permutation:
     5
     >>> str(Permutation((2, 5, 3, 1, 4)))
     '25314'
+
+    Construction checks the word.  `_trusted` skips the check; only code
+    that builds a tuple of 1..n as a permutation by construction may
+    call it (the listings, the walks, `_decode`, the cover functions and
+    the inverse map), never on parsed or user-given words.
     """
 
     entries: tuple[int, ...]
@@ -41,6 +46,13 @@ class Permutation:
         object.__setattr__(self, "entries", entries)
         if sorted(entries) != list(range(1, len(entries) + 1)):
             raise ValueError(f"not a permutation of 1..{len(entries)}: {entries!r}")
+
+    @classmethod
+    def _trusted(cls, entries: tuple[int, ...]) -> Permutation:
+        """The permutation with these entries, a tuple known to be a permutation of 1..n."""
+        x = object.__new__(cls)
+        object.__setattr__(x, "entries", entries)
+        return x
 
     @property
     def n(self) -> int:
@@ -86,7 +98,7 @@ def top(n: int) -> Permutation:
 def all_permutations(n: int) -> Iterator[Permutation]:
     """All of S_n in lexicographic order of one-line notation."""
     for word in itertools.permutations(range(1, n + 1)):
-        yield Permutation(word)
+        yield Permutation._trusted(word)
 
 
 def reversed_word(x: Permutation) -> Permutation:
@@ -149,7 +161,7 @@ def upper_covers(x: Permutation) -> frozenset[Permutation]:
     e = x.entries
     for i in range(x.n - 1):
         if e[i] < e[i + 1]:
-            out.append(Permutation(e[:i] + (e[i + 1], e[i]) + e[i + 2 :]))
+            out.append(Permutation._trusted(e[:i] + (e[i + 1], e[i]) + e[i + 2 :]))
     return frozenset(out)
 
 
@@ -159,7 +171,7 @@ def lower_covers(x: Permutation) -> frozenset[Permutation]:
     e = x.entries
     for i in range(x.n - 1):
         if e[i] > e[i + 1]:
-            out.append(Permutation(e[:i] + (e[i + 1], e[i]) + e[i + 2 :]))
+            out.append(Permutation._trusted(e[:i] + (e[i + 1], e[i]) + e[i + 2 :]))
     return frozenset(out)
 
 
@@ -186,13 +198,13 @@ def _decode(below: list[int]) -> Permutation:
 
     The values go in by insertion, smallest first: among 1..v, v follows
     exactly the smaller values it does not invert.  Masks no permutation
-    has still place every value, so the word's own masks must give
-    `below` back.
+    has still place every value, so the word is a permutation of 1..n,
+    and its own masks must give `below` back.
     """
     word: list[int] = []
     for v in range(1, len(below)):
         word.insert(v - 1 - below[v].bit_count(), v)
-    x = Permutation(tuple(word))
+    x = Permutation._trusted(tuple(word))
     if _masks(x) != below:
         raise ValueError("pair set is not the inversion set of any permutation")
     return x

@@ -13,9 +13,9 @@ the error of `validate_diagram`.  Output depends only on the input values.
 from __future__ import annotations
 
 from .arcs import Arc, ArcSet, arc_key, all_arcs, subarc_covers
-from .congruences import project_down, project_up, uncontracted_permutations
+from .congruences import project_down, uncontracted_permutations
 from .diagrams import Diagram, _forcing, _require_compatible
-from .perms import all_permutations, upper_covers
+from .perms import all_permutations, lower_covers, upper_covers
 
 SPACING = 40  # vertical px between points
 UNIT = 22  # horizontal px per offset unit
@@ -163,11 +163,11 @@ def export_dot(kind: str, n: int, arcset: ArcSet | None = None) -> str:
                 for y in sorted(upper_covers(x), key=lambda p: p.entries)
             ]
         else:
-            # the upper covers of a class top lead into exactly the classes covering it
+            # every descent of a class bottom y is uncontracted, and the classes
+            # that y's class covers are those of y's lower covers, all distinct
             elements = list(uncontracted_permutations(n, arcset))
             covers = sorted(
-                {(x, project_down(y, arcset))
-                 for x in elements for y in upper_covers(project_up(x, arcset))},
+                ((project_down(x, arcset), y) for y in elements for x in lower_covers(y)),
                 key=lambda e: (e[0].entries, e[1].entries),
             )
         lines = ["digraph weak_order {", "  rankdir=BT;"]

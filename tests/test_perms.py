@@ -6,12 +6,18 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import arcdiag.perms
 from arcdiag import (
     InversionSet,
+    ParseError,
     Permutation,
+    all_arcs,
     all_permutations,
     canonical_joinands,
+    congruence_from_contracted,
     descents,
+    diagram_from_permutation,
+    full_arc_set,
     identity,
     inversions,
     is_join_irreducible,
@@ -20,8 +26,15 @@ from arcdiag import (
     joinand_at,
     lower_covers,
     meet,
+    named_congruence,
+    parse_permutation,
+    permutation_from_diagram,
     permutation_from_inversions,
+    project_down,
+    project_up,
     top,
+    uncontracted_by_avoidance,
+    uncontracted_permutations,
     upper_covers,
     weak_leq,
 )
@@ -316,3 +329,69 @@ def test_join_is_closure_of_union(family):
     assert inversions(join(family)).pairs == _closure(union, n)
     rev = lambda x: Permutation(x.entries[::-1])
     assert meet(family) == rev(join([rev(x) for x in family]))
+
+
+@pytest.mark.parametrize(
+    "entries, message",
+    [
+        ((1, 1, 3), "not a permutation of 1..3: (1, 1, 3)"),
+        ((0, 1), "not a permutation of 1..2: (0, 1)"),
+        ((2, 3), "not a permutation of 1..2: (2, 3)"),
+    ],
+)
+def test_checked_construction_rejects_non_permutations(entries, message):
+    with pytest.raises(ValueError) as err:
+        Permutation(entries)
+    assert type(err.value) is ValueError and str(err.value) == message
+
+
+def test_checked_construction_keeps_parse_errors_and_tuples():
+    with pytest.raises(ParseError) as err:
+        parse_permutation("112")
+    assert str(err.value) == "not a permutation of 1..3: (1, 1, 2) (byte 0)"
+    assert err.value.offset == 0
+    x = Permutation([2, 1, 3])
+    assert type(x.entries) is tuple and x.entries == (2, 1, 3)
+
+
+def _assert_checked_equal(x):
+    """x holds a tuple and equals, hash for hash, the checked construction of its word."""
+    assert type(x.entries) is tuple
+    checked = Permutation(x.entries)
+    assert x == checked and hash(x) == hash(checked)
+
+
+def _built_from(x, sets):
+    """Every permutation the unchecked constructions build from x and the arc sets."""
+    yield arcdiag.perms._decode(arcdiag.perms._masks(x))
+    yield permutation_from_inversions(inversions(x))
+    yield join(lower_covers(x), n=x.n)
+    yield permutation_from_diagram(diagram_from_permutation(x))
+    yield from upper_covers(x)
+    yield from lower_covers(x)
+    for u in sets:
+        yield project_down(x, u)
+        yield project_up(x, u)
+
+
+def test_built_permutations_match_checked_construction():
+    rng = random.Random(1600)
+    for n in range(7):
+        sets = [full_arc_set(n)]
+        if n >= 2:
+            sets += [named_congruence(n, "tamari"), named_congruence(n, "baxter"),
+                     congruence_from_contracted(n, rng.sample(all_arcs(n), min(2, n - 1)))]
+        listed = list(all_permutations(n))
+        assert len(listed) == len(set(listed))
+        for u in sets:
+            for route in (uncontracted_permutations, uncontracted_by_avoidance):
+                listed += route(n, u)
+        for x in listed:
+            _assert_checked_equal(x)
+        for x in all_permutations(n):
+            for y in _built_from(x, sets):
+                _assert_checked_equal(y)
+    x = Permutation(tuple(random.Random(200).sample(range(1, 201), 200)))
+    sets = [named_congruence(200, "tamari"), named_congruence(200, "baxter")]
+    for y in _built_from(x, sets):
+        _assert_checked_equal(y)

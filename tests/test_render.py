@@ -24,8 +24,12 @@ from arcdiag import (
     make_arc,
     named_congruence,
     parse_diagram,
+    project_down,
+    project_up,
     render_ascii,
     render_svg,
+    uncontracted_permutations,
+    upper_covers,
     validate_diagram,
 )
 from arcdiag.render import MARGIN, SPACING, UNIT
@@ -297,6 +301,40 @@ def test_export_weak_quotient_matches_pairwise_covers(n):
 def test_export_weak_named_quotient_matches_scan(name, n):
     u = named_congruence(n, name)
     assert export_dot("weak", n, u) == scan_weak_dot(n, u)
+
+
+def top_route_weak_dot(n, u):
+    """The quotient export by its former route: the bottoms of the upper covers of each class top."""
+    elements = list(uncontracted_permutations(n, u))
+    covers = sorted(
+        {(x, project_down(y, u)) for x in elements for y in upper_covers(project_up(x, u))},
+        key=lambda e: (e[0].entries, e[1].entries),
+    )
+    expected = ["digraph weak_order {", "  rankdir=BT;"]
+    expected += [f'  "{x}";' for x in elements]
+    expected += [f'  "{x}" -> "{y}";' for x, y in covers]
+    expected.append("}")
+    return "\n".join(expected)
+
+
+def quotients_at(n):
+    """The named families, an alternating Cambrian spec and three seeded contractions of short arcs."""
+    yield named_congruence(n, "tamari")
+    yield named_congruence(n, "baxter")
+    yield named_congruence(n, "clumped", k=1)
+    yield named_congruence(n, "maxlen", k=3)
+    yield named_congruence(n, "cambrian", orientation="LR" * (n // 2) + "L" * (n % 2))
+    rng = random.Random(9100 + n)
+    # short generators contract many arcs, so the quotients and the former route's walks stay small
+    arcs = [alpha for alpha in all_arcs(n) if alpha.b - alpha.a <= 3]
+    for _ in range(3):
+        yield congruence_from_contracted(n, rng.sample(arcs, 3))
+
+
+@pytest.mark.parametrize("n", [7, 8])
+def test_export_weak_quotient_matches_top_route(n):
+    for u in quotients_at(n):
+        assert export_dot("weak", n, u) == top_route_weak_dot(n, u)
 
 
 def test_export_weak_tamari_n8_counts():
