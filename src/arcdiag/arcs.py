@@ -140,7 +140,7 @@ class ArcSet:
 
 def all_arcs(n: int) -> list[Arc]:
     """Every arc on n points in canonical order; there are 2^n - n - 1."""
-    return sorted(_grown(n, lambda alpha: True)[0], key=arc_key)
+    return sorted(_grown(n, lambda key: True)[0].arcs, key=arc_key)
 
 
 def _right_mask(a: int, b: int, before: int) -> int:
@@ -290,30 +290,31 @@ def subarc_covers(beta: Arc) -> tuple[Arc, ...]:
     )
 
 
-def _grown(n: int, keep: Callable[[Arc], bool]) -> tuple[list[Arc], list[Arc]]:
+def _grown(n: int, keep: Callable[[tuple[int, int, int]], bool]) -> tuple[ArcSet, list[tuple[int, int, int]]]:
     """The arcs on n points whose subarcs all pass `keep`, and the subarc-minimal failures.
 
-    Grows from the unit arcs, so the work follows the kept arcs: a kept
-    arc from a to b extends to b + 1, with b on either side, when its other
-    subarc cover (from a + 1, looked up by key, not built) was kept too.
+    `keep` reads an (a, b, mask) key, and the failures come as keys; only
+    the kept arcs are built.  Grows from the unit arcs, so the work follows
+    the kept arcs: a kept arc from a to b extends to b + 1, with b on
+    either side, when its other subarc cover (from a + 1) was kept too.
     """
-    kept: dict[tuple[int, int, int], Arc] = {}
-    failed: list[Arc] = []
-    tried = [Arc(n, a, a + 1, 0) for a in range(1, n)]
+    kept: dict[tuple[int, int, int], None] = {}  # an ordered set of keys
+    failed: list[tuple[int, int, int]] = []
+    tried = [(a, a + 1, 0) for a in range(1, n)]
     while tried:
-        for alpha in tried:
-            if keep(alpha):
-                kept[alpha.a, alpha.b, alpha.mask] = alpha
+        for key in tried:
+            if keep(key):
+                kept[key] = None
             else:
-                failed.append(alpha)
+                failed.append(key)
         tried = [
-            Arc(n, alpha.a, alpha.b + 1, mask)
-            for alpha in tried
-            if alpha.b < n and (alpha.a, alpha.b, alpha.mask) in kept
-            for mask in (alpha.mask, alpha.mask | 1 << (alpha.b - alpha.a - 1))
-            if (alpha.a + 1, alpha.b + 1, mask >> 1) in kept
+            (a, b + 1, mask)
+            for a, b, m in tried
+            if b < n and (a, b, m) in kept
+            for mask in (m, m | 1 << (b - a - 1))
+            if (a + 1, b + 1, mask >> 1) in kept
         ]
-    return list(kept.values()), failed
+    return ArcSet(n, frozenset(Arc(n, *key) for key in kept)), failed
 
 
 def inflections(alpha: Arc) -> int:
@@ -322,5 +323,10 @@ def inflections(alpha: Arc) -> int:
     >>> inflections(make_arc(9, 4, 8, {6}))
     2
     """
-    pairs = (1 << (alpha.b - alpha.a - 1)) - 1 >> 1  # a bit per interior point but the top one
-    return ((alpha.mask ^ alpha.mask >> 1) & pairs).bit_count()
+    return _inflections(alpha.a, alpha.b, alpha.mask)
+
+
+def _inflections(a: int, b: int, mask: int) -> int:
+    """`inflections` of the arc with key (a, b, mask)."""
+    pairs = (1 << (b - a - 1)) - 1 >> 1  # a bit per interior point but the top one
+    return ((mask ^ mask >> 1) & pairs).bit_count()

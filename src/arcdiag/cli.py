@@ -2,13 +2,13 @@
 
 Every subcommand prints plain text on stdout and returns an exit code:
 0 for success, 1 when a verification check fails, 2 for unusable input
-(bad flags, malformed text, out-of-range sizes).  `delta`, `inverse` and
-`render` take any n >= 1: their work grows polynomially with n.  The
-commands whose work grows with all arcs or all of S_n (`enumerate`,
-`complex`, `export`, `verify`), and `project`, which builds and checks
-the whole arc set before its walk and whose `clumped:k` sets grow
-exponentially, refuse sizes above the cap in ARCDIAG_MAX_N (default 9)
-up front; `verify` stops at VERIFY_MAX_N (8) below that.
+(bad flags, malformed text, out-of-range sizes).  `delta`, `inverse`,
+`render` and `project` take any n >= 1: their work grows polynomially
+with n, and `project` walks with its congruence's key rule, building
+no arc set.  The commands whose work grows with all arcs or all of S_n
+(`enumerate`, `complex`, `export`, `verify`) refuse sizes above the cap
+in ARCDIAG_MAX_N (default 9) up front; `verify` stops at VERIFY_MAX_N
+(8) below that.
 """
 from __future__ import annotations
 
@@ -18,11 +18,12 @@ import os
 import sys
 
 from .arcs import ArcSet
-from .congruences import project_down
+from .congruences import _walk
 from .counting import VERIFY_MAX_N, count_by_arcs, full_arc_set, verify_report
 from .diagrams import Diagram, diagram_from_permutation, enumerate_diagrams, permutation_from_diagram
 from .render import export_dot, render_ascii, render_svg
 from .textforms import (
+    _spec_rule,
     format_diagram,
     format_diagram_body,
     format_permutation,
@@ -118,11 +119,9 @@ def _cmd_enumerate(args: argparse.Namespace) -> int:
 
 def _cmd_project(args: argparse.Namespace) -> int:
     x = parse_permutation(args.perm)
-    _check_n(x.n)
     if args.n is not None and args.n != x.n:
         raise ValueError(f"--n {args.n} does not match a permutation of {x.n}")
-    arcset = parse_congruence_spec(args.congruence, x.n)
-    print(format_permutation(project_down(x, arcset)))
+    print(format_permutation(_walk(x, _spec_rule(args.congruence, x.n), down=True)))
     return 0
 
 

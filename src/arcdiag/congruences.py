@@ -23,7 +23,12 @@ position, reach class bottoms (tops).  A bottom's descents are all
 uncontracted, and the classes its class covers in the quotient are
 those of its lower covers, one per descent.
 
-Named families come from three rules:
+Named families are rules: each decides from an arc's (a, b, mask) key
+alone whether the arc is uncontracted, and each is closed under subarcs
+by construction.  `named_congruence` grows its set from the rule.  The
+projection walk reads a key rule as well: `project_down` and `project_up`
+pass a set's membership test, and a caller holding a named rule can walk
+with it directly, building no set, at any n.
 
 * ``cambrian``    per-point orientation, one arc per pair a < b;
                   ``tamari`` is the orientation R...R (left arcs only)
@@ -34,14 +39,14 @@ from __future__ import annotations
 
 from typing import Callable, Iterable, Iterator
 
-from .arcs import Arc, ArcSet, _grown, _right_mask, arc_key, inflections
+from .arcs import Arc, ArcSet, _grown, _inflections, _right_mask, arc_key
 from .diagrams import enumerate_diagrams
 from .perms import Permutation, positions
 
 
 def full_arc_set(n: int) -> ArcSet:
     """Every arc on n points; the trivial congruence contracting nothing."""
-    return ArcSet(n, frozenset(_grown(n, lambda alpha: True)[0]))
+    return _grown(n, lambda key: True)[0]
 
 
 def _require_congruence(n: int, arcset: ArcSet) -> None:
@@ -62,7 +67,7 @@ def congruence_from_contracted(n: int, generators: Iterable[Arc]) -> ArcSet:
     '1-2;1-3:L;2-3'
     """
     contracted = ArcSet(n, frozenset(generators))  # checks that they live on n points
-    return ArcSet(n, frozenset(_grown(n, lambda alpha: alpha not in contracted)[0]))
+    return _grown(n, lambda key: key not in contracted._keys)[0]
 
 
 def minimal_contracted_generators(n: int, arcset: ArcSet) -> tuple[Arc, ...]:
@@ -71,7 +76,7 @@ def minimal_contracted_generators(n: int, arcset: ArcSet) -> tuple[Arc, ...]:
     They are the arcs where growing the closed set from the unit arcs stops.
     """
     _require_congruence(n, arcset)
-    return tuple(sorted(_grown(n, arcset.__contains__)[1], key=arc_key))
+    return tuple(sorted((Arc(n, *key) for key in _grown(n, arcset._keys.__contains__)[1]), key=arc_key))
 
 
 def has_pattern(x: Permutation, alpha: Arc) -> bool:
@@ -166,15 +171,14 @@ def uncontracted_by_avoidance(n: int, arcset: ArcSet) -> Iterator[Permutation]:
     yield from _prefix_walk(n, _PatternMemo(minimal_contracted_generators(n, arcset)).__getitem__)
 
 
-def _walk(x: Permutation, arcset: ArcSet, down: bool) -> Permutation:
-    """Swap descents (ascents) at positions i, i+1 while their cover label is contracted.
+def _walk(x: Permutation, keep: Callable[[tuple[int, int, int]], bool], down: bool) -> Permutation:
+    """Swap descents (ascents) at positions i, i+1 while `keep` fails on their cover label's key.
 
     The label's right side is read from `before[i]`, the values at
     positions 1..i-1.  A swap at i changes only `before[i + 1]` and the
     labels at i - 1 and i + 1, so only those go back on the stack.
     """
-    _require_congruence(x.n, arcset)
-    keys, e, before, n = arcset._keys, list(x.entries), [0, 0], x.n
+    e, before, n = list(x.entries), [0, 0], x.n
     for v in e[:-1]:
         before.append(before[-1] | 1 << v)
     todo = list(range(n - 1, 0, -1))
@@ -183,7 +187,7 @@ def _walk(x: Permutation, arcset: ArcSet, down: bool) -> Permutation:
         if not 0 < i < n or (e[i - 1] > e[i]) != down:
             continue
         a, b = (e[i], e[i - 1]) if down else (e[i - 1], e[i])
-        if (a, b, _right_mask(a, b, before[i])) not in keys:
+        if not keep((a, b, _right_mask(a, b, before[i]))):
             e[i - 1], e[i] = e[i], e[i - 1]
             before[i + 1] = before[i] | 1 << e[i - 1]
             todo += (i + 1, i - 1)
@@ -202,12 +206,14 @@ def project_down(x: Permutation, arcset: ArcSet) -> Permutation:
     >>> str(project_down(Permutation((3, 1, 2)), U)), str(project_up(Permutation((1, 3, 2)), U))
     ('132', '312')
     """
-    return _walk(x, arcset, down=True)
+    _require_congruence(x.n, arcset)
+    return _walk(x, arcset._keys.__contains__, down=True)
 
 
 def project_up(x: Permutation, arcset: ArcSet) -> Permutation:
     """Top element of the congruence class of x: the walk of `project_down` over ascents."""
-    return _walk(x, arcset, down=False)
+    _require_congruence(x.n, arcset)
+    return _walk(x, arcset._keys.__contains__, down=False)
 
 
 def named_congruence(
@@ -229,6 +235,12 @@ def named_congruence(
     >>> named_congruence(3, "cambrian", orientation="RRR") == named_congruence(3, "tamari")
     True
     """
+    return _grown(n, _named_rule(n, name, k, orientation))[0]
+
+
+def _named_rule(n: int, name: str, k: int | None = None,
+                orientation: str | None = None) -> Callable[[tuple[int, int, int]], bool]:
+    """The key rule of a named family: whether the arc (a, b, mask) is uncontracted."""
     if name == "tamari":
         name, orientation = "cambrian", "R" * n
     elif name == "baxter":
@@ -238,22 +250,21 @@ def named_congruence(
             raise ValueError(f"cambrian needs an orientation over L/R of length {n}")
         # bit p - 1 for each point p that the arcs pass on their right
         right = sum(1 << p for p, side in enumerate(orientation) if side == "L")
-        members = [
-            Arc(n, a, b, right >> a & (1 << (b - a - 1)) - 1)
-            for a in range(1, n)
-            for b in range(a + 1, n + 1)
-        ]
-    elif name == "clumped":
+
+        def cambrian(key: tuple[int, int, int]) -> bool:
+            a, b, mask = key
+            return mask == right >> a & (1 << b - a - 1) - 1
+
+        return cambrian
+    if name == "clumped":
         if k is None or k < 0:
             raise ValueError("clumped needs a bound k >= 0")
-        members = _grown(n, lambda alpha: inflections(alpha) <= k)[0]
-    elif name == "maxlen":
+        return lambda key: _inflections(*key) <= k
+    if name == "maxlen":
         if k is None or k < 1:
             raise ValueError("maxlen needs a bound k >= 1")
-        members = _grown(n, lambda alpha: alpha.b - alpha.a < k)[0]
-    else:
-        raise ValueError(f"unknown congruence family {name!r}")
-    return ArcSet(n, frozenset(members))
+        return lambda key: key[1] - key[0] < k
+    raise ValueError(f"unknown congruence family {name!r}")
 
 
 def complex_faces(n: int, arcset: ArcSet) -> Iterator[frozenset[Arc]]:

@@ -170,9 +170,10 @@ def export_dot(kind: str, n: int, arcset: ArcSet | None = None) -> str:
                 ((project_down(x, arcset), y) for y in elements for x in lower_covers(y)),
                 key=lambda e: (e[0].entries, e[1].entries),
             )
+        names = {x: str(x) for x in elements}  # every cover end is an element
         lines = ["digraph weak_order {", "  rankdir=BT;"]
-        lines.extend(f'  "{x}";' for x in elements)
-        lines.extend(f'  "{x}" -> "{y}";' for x, y in covers)
+        lines.extend(f'  "{name}";' for name in names.values())
+        lines.extend(f'  "{names[x]}" -> "{names[y]}";' for x, y in covers)
     else:
         raise ValueError(f"unknown export kind {kind!r}")
     lines.append("}")

@@ -7,8 +7,10 @@ the byte offset of the offending character.
 """
 from __future__ import annotations
 
-from .arcs import Arc, ArcSet, side_mask
-from .congruences import named_congruence
+from typing import Callable
+
+from .arcs import Arc, ArcSet, _grown, side_mask
+from .congruences import _named_rule
 from .diagrams import Diagram, validate_diagram
 from .perms import Permutation
 
@@ -169,11 +171,16 @@ def parse_arcset(text: str) -> ArcSet:
 
 def parse_congruence_spec(spec: str, n: int) -> ArcSet:
     """CLI congruence names: tamari, baxter, cambrian:<LR..>, clumped:<k>, maxlen:<k>."""
+    return _grown(n, _spec_rule(spec, n))[0]
+
+
+def _spec_rule(spec: str, n: int) -> Callable[[tuple[int, int, int]], bool]:
+    """The key rule a congruence spec names on n points; see `congruences._named_rule`."""
     name, sep, payload = spec.partition(":")
     if name in ("tamari", "baxter"):
         if sep:
             raise ParseError(f"{name} takes no parameter", len(name))
-        return named_congruence(n, name)
+        return _named_rule(n, name)
     if name == "cambrian":
         if not sep:
             raise ParseError("cambrian needs an orientation, e.g. cambrian:RLR", len(name))
@@ -182,14 +189,14 @@ def parse_congruence_spec(spec: str, n: int) -> ArcSet:
                 raise ParseError(f"expected L or R, got {ch!r}", len(name) + 1 + i)
         if len(payload) != n:
             raise ParseError(f"orientation needs {n} letters, got {len(payload)}", len(name) + 1)
-        return named_congruence(n, "cambrian", orientation=payload)
+        return _named_rule(n, "cambrian", orientation=payload)
     if name in ("clumped", "maxlen"):
         message = f"{name} needs a numeric bound, e.g. {name}:2"
         if not sep:
             raise ParseError(message, len(name))
         k = _whole_int(payload, message, len(name) + 1)
         try:
-            return named_congruence(n, name, k=k)
+            return _named_rule(n, name, k=k)
         except ValueError as exc:
             raise ParseError(str(exc), len(name) + 1) from None
     raise ParseError(f"unknown congruence family {name!r}", 0)

@@ -274,6 +274,13 @@ def test_polynomial_commands_ignore_size_cap(capsys, monkeypatch):
     assert code == 0 and out.strip() == word
     code, out, _ = run(capsys, ["render", "--ascii"], stdin=header_form, monkeypatch=monkeypatch)
     assert code == 0 and len(out.splitlines()) == 2 * 50 - 1
+    for spec in ("tamari", "baxter", "cambrian:" + "LR" * 25, "clumped:1", "clumped:2", "maxlen:3"):
+        code, out, err = run(capsys, ["project", word, "--congruence", spec])
+        assert code == 0 and err == "", spec
+        bottom = out.strip()
+        assert sorted(map(int, bottom.split(","))) == list(range(1, 51)), spec
+        code, out, _ = run(capsys, ["project", bottom, "--congruence", spec])
+        assert code == 0 and out.strip() == bottom, spec
 
 
 def test_verify_rejects_sizes_past_its_limit(capsys, monkeypatch):

@@ -1,3 +1,4 @@
+import bisect
 import itertools
 import random
 import sys
@@ -5,6 +6,7 @@ import sys
 import pytest
 
 import arcdiag.congruences
+import arcdiag.render
 from arcdiag import (
     Arc,
     ArcSet,
@@ -35,7 +37,9 @@ from arcdiag import (
     uncontracted_by_avoidance,
     uncontracted_permutations,
 )
+from arcdiag.congruences import _walk
 from arcdiag.perms import positions
+from arcdiag.textforms import _spec_rule
 
 
 def random_congruences(n, count, seed):
@@ -454,8 +458,113 @@ def test_walk_matches_rescanning_oracle_at_the_extremes(n):
 def test_weak_export_matches_rescanning_walk(n, spec, monkeypatch):
     u = parse_congruence_spec(spec, n)
     fast = export_dot("weak", n, u)
-    monkeypatch.setattr(arcdiag.congruences, "_walk", rescanning_walk)
+    monkeypatch.setattr(arcdiag.render, "project_down", lambda x, u: rescanning_walk(x, u, down=True))
     assert export_dot("weak", n, u) == fast
+
+
+def seeded_orientations(n, count, seed):
+    rng = random.Random(seed)
+    return ["".join(rng.choice("LR") for _ in range(n)) for _ in range(count)]
+
+
+@pytest.mark.parametrize("n", range(1, 9))
+def test_named_rules_hold_on_their_sets(n):
+    specs = ["tamari", "baxter", "clumped:1", "clumped:2", "maxlen:1", "maxlen:3"]
+    specs += [f"cambrian:{o}" for o in seeded_orientations(n, 3, seed=17000 + n)]
+    keys = [(alpha.a, alpha.b, alpha.mask) for alpha in all_arcs(n)]
+    for spec in specs:
+        rule, members = _spec_rule(spec, n), parse_congruence_spec(spec, n)._keys
+        assert [key for key in keys if rule(key) != (key in members)] == [], spec
+
+
+def seeded_permutations(n, count, seed):
+    rng = random.Random(seed)
+    for _ in range(count):
+        entries = list(range(1, n + 1))
+        rng.shuffle(entries)
+        yield Permutation(tuple(entries))
+
+
+@pytest.mark.parametrize(
+    "n, spec, count",
+    [(200, "tamari", 20), (200, "baxter", 20), (200, "cambrian:" + "LR" * 100, 20),
+     (12, "clumped:1", 200), (12, "clumped:2", 200), (12, "maxlen:3", 200)],
+    ids=lambda v: v[:12] if isinstance(v, str) else str(v),
+)
+def test_rule_walk_matches_set_walk(n, spec, count):
+    rule, u = _spec_rule(spec, n), parse_congruence_spec(spec, n)
+    for x in seeded_permutations(n, count, seed=17100 + n):
+        assert _walk(x, rule, down=True) == project_down(x, u), (spec, x)
+        assert _walk(x, rule, down=False) == project_up(x, u), (spec, x)
+
+
+def search_tree(values):
+    """Oracle with no arcs: the binary search tree built by inserting `values` in order.
+
+    Returns the parent of each value (0 for the root) and, per t, whether
+    inserting values[t + 1] before values[t] builds another tree.  Inserting
+    never moves a placed node, so the trees differ exactly when the trees
+    after those two insertions do, that is, when a new node hangs elsewhere.
+    """
+    placed, when, parent, swapped = [], {}, {}, []
+
+    def hang(v, newest=None):
+        # a new leaf hangs from the later-inserted of its two neighbours in value order
+        j = bisect.bisect(placed, v)
+        if newest is not None and bisect.bisect(placed, newest) == j:
+            return newest
+        return max(placed[max(j - 1, 0) : j + 1], key=when.__getitem__, default=0)
+
+    for t, v in enumerate(values):
+        if t + 1 < len(values):
+            w = values[t + 1]
+            swapped.append((hang(v), hang(w, v)) != (hang(v, w), hang(w)))
+        parent[v] = hang(v)
+        when[v] = t
+        bisect.insort(placed, v)
+    return tuple(parent[v] for v in sorted(parent)), swapped
+
+
+@pytest.mark.parametrize("n", range(1, 7))
+def test_search_tree_swaps_match_rebuilt_trees(n):
+    for values in itertools.permutations(range(1, n + 1)):
+        tree, swapped = search_tree(values)
+        rebuilt = [search_tree(values[:t] + (values[t + 1], values[t]) + values[t + 2 :])[0]
+                   for t in range(n - 1)]
+        assert swapped == [other != tree for other in rebuilt], values
+
+
+def tree_keys(e):
+    """Per spec, the tree key of the word e and per descent i of e whether swapping it changes the key.
+
+    Tamari (sylvester) classes are the fibres of the tree of e read right
+    to left, the classes of ``cambrian:L...L`` those of e read left to
+    right, and Baxter classes those of the pair (Hivert-Novelli-Thibon;
+    Law-Reading).
+    """
+    n = len(e)
+    (back, back_swapped), (forth, forth_swapped) = search_tree(e[::-1]), search_tree(e)
+    # descent i swaps e[i - 1] and e[i]: time n - 1 - i read backwards, i - 1 read forwards
+    back_changes = {i: back_swapped[n - 1 - i] for i in range(1, n)}
+    forth_changes = {i: forth_swapped[i - 1] for i in range(1, n)}
+    return {
+        "tamari": (back, back_changes),
+        "cambrian:" + "L" * n: (forth, forth_changes),
+        "baxter": ((back, forth), {i: back_changes[i] or forth_changes[i] for i in range(1, n)}),
+    }
+
+
+@pytest.mark.parametrize("n", [200, 1000])
+def test_rule_walk_reaches_search_tree_bottoms(n):
+    # a class is an interval, so y is the bottom of the class of x exactly when
+    # it has the key of x and no descent swap keeps the key
+    for x in seeded_permutations(n, 3, seed=17200 + n):
+        x_keys = tree_keys(x.entries)
+        for spec, (key, _) in x_keys.items():
+            y = _walk(x, _spec_rule(spec, n), down=True).entries
+            y_key, changes = tree_keys(y)[spec]
+            assert y_key == key, spec
+            assert all(changes[i] for i in range(1, n) if y[i - 1] > y[i]), spec
 
 
 @pytest.mark.parametrize("n", range(2, 6))
