@@ -18,27 +18,28 @@ witness points.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cached_property
 from typing import Callable, Iterable, Iterator
 
-from .perms import Permutation
+from .perms import Permutation, _Frozen
 
 
-@dataclass(frozen=True)
-class Arc:
+class Arc(_Frozen):
     """An arc from a up to b; bit i of `mask` is set when point a + 1 + i is on its right."""
 
-    n: int
-    a: int
-    b: int
-    mask: int
+    _fields = ("n", "a", "b", "mask")
+    __slots__ = (*_fields, "_sides")  # `side_string` caches its result in `_sides`
 
-    def __post_init__(self) -> None:
-        if not 1 <= self.a < self.b <= self.n:
-            raise ValueError(f"need 1 <= a < b <= n, got a={self.a} b={self.b} n={self.n}")
-        if not 0 <= self.mask < 1 << (self.b - self.a - 1):
-            raise ValueError(f"mask {self.mask} does not fit the {self.b - self.a - 1} interior points")
+    def __init__(self, n: int, a: int, b: int, mask: int) -> None:
+        if not 1 <= a < b <= n:
+            raise ValueError(f"need 1 <= a < b <= n, got a={a} b={b} n={n}")
+        if not 0 <= mask < 1 << (b - a - 1):
+            raise ValueError(f"mask {mask} does not fit the {b - a - 1} interior points")
+        object.__setattr__(self, "n", n)  # not `_fill`, whose loop makes an arc 1.4 times as slow to build
+        object.__setattr__(self, "a", a)
+        object.__setattr__(self, "b", b)
+        object.__setattr__(self, "mask", mask)
+        object.__setattr__(self, "_sides", None)
 
     @property
     def interior(self) -> frozenset[int]:
@@ -78,11 +79,11 @@ def make_arc(n: int, a: int, b: int, right: Iterable[int] = ()) -> Arc:
 
 def side_string(alpha: Arc) -> str:
     """One character per interior point, bottom to top, L or R; each arc spells it once."""
-    sides = alpha.__dict__.get("_sides")
+    sides = alpha._sides
     if sides is None:
         # bin() spells the mask top bit first, after a 1 that pads it to b - a - 1 digits
         sides = bin(alpha.mask | 1 << (alpha.b - alpha.a - 1))[:2:-1].translate(_SIDE_LETTERS)
-        alpha.__dict__["_sides"] = sides  # a cache outside the frozen fields, as cached_property keeps
+        object.__setattr__(alpha, "_sides", sides)  # a cache outside the fields
     return sides
 
 
@@ -96,8 +97,7 @@ def arc_key(alpha: Arc) -> tuple[int, int, str]:
     return (alpha.a, alpha.b, side_string(alpha))
 
 
-@dataclass(frozen=True)
-class ArcSet:
+class ArcSet(_Frozen):
     """A set of arcs on n points: a diagram, or the uncontracted arcs of a congruence.
 
     Only the size is checked here, so broken sets can be built for the
@@ -105,14 +105,14 @@ class ArcSet:
     congruences check subarc closure where they use a set, once per set.
     """
 
-    n: int
-    arcs: frozenset[Arc]
+    _fields = ("n", "arcs")  # and a __dict__ for the cached properties
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "arcs", frozenset(self.arcs))
-        for alpha in self.arcs:
-            if alpha.n != self.n:
-                raise ValueError(f"arc {alpha!r} does not live on {self.n} points")
+    def __init__(self, n: int, arcs: frozenset[Arc]) -> None:
+        arcs = frozenset(arcs)
+        for alpha in arcs:
+            if alpha.n != n:
+                raise ValueError(f"arc {alpha!r} does not live on {n} points")
+        self._fill(n, arcs)
 
     def sorted_arcs(self) -> tuple[Arc, ...]:
         return tuple(sorted(self.arcs, key=arc_key))

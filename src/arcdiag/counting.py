@@ -8,9 +8,7 @@ as data, so a failing check is a report row, not an exception.
 """
 from __future__ import annotations
 
-import json
 import math
-from dataclasses import dataclass
 from functools import lru_cache
 
 from .arcs import ArcSet
@@ -28,7 +26,7 @@ from .diagrams import (
     enumerate_diagrams,
     permutation_from_diagram,
 )
-from .perms import all_permutations
+from .perms import _Frozen, all_permutations
 
 
 def catalan(n: int) -> int:
@@ -100,12 +98,13 @@ def prodmin(n: int, k: int) -> int:
     return out
 
 
-@dataclass(frozen=True)
-class CountTable:
+class CountTable(_Frozen):
     """Diagram counts split by number of arcs, k = 0..n-1."""
 
-    n: int
-    counts: tuple[int, ...]
+    __slots__ = _fields = ("n", "counts")
+
+    def __init__(self, n: int, counts: tuple[int, ...]) -> None:
+        self._fill(n, counts)
 
     @property
     def total(self) -> int:
@@ -125,19 +124,18 @@ def count_by_arcs(n: int, arcset: ArcSet) -> CountTable:
 ALTERNATING_EVEN = {2: 1, 4: 5, 6: 61, 8: 1385}
 
 
-@dataclass(frozen=True)
-class CheckResult:
-    name: str
-    n: int
-    expected: object
-    observed: object
-    passed: bool
+class CheckResult(_Frozen):
+    __slots__ = _fields = ("name", "n", "expected", "observed", "passed")
+
+    def __init__(self, name: str, n: int, expected: object, observed: object, passed: bool) -> None:
+        self._fill(name, n, expected, observed, passed)
 
 
-@dataclass(frozen=True)
-class VerifyReport:
-    n_max: int
-    results: tuple[CheckResult, ...]
+class VerifyReport(_Frozen):
+    __slots__ = _fields = ("n_max", "results")
+
+    def __init__(self, n_max: int, results: tuple[CheckResult, ...]) -> None:
+        self._fill(n_max, results)
 
     @property
     def passed(self) -> bool:
@@ -156,6 +154,8 @@ class VerifyReport:
         return "\n".join(lines)
 
     def to_json(self) -> str:
+        import json  # only `verify --json` needs it, so the CLI starts without it
+
         records = [
             {
                 "name": r.name,

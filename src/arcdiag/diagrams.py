@@ -17,11 +17,10 @@ from __future__ import annotations
 
 import math
 from collections import defaultdict
-from dataclasses import dataclass
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Iterator, NamedTuple, Sequence
 
 from .arcs import Arc, ArcSet, _descent_arcs, all_arcs, incompatibility_reason
-from .perms import Permutation
+from .perms import Permutation, _Frozen
 
 
 Diagram = ArcSet  # with pairwise compatible arcs; `validate_diagram` checks them
@@ -54,8 +53,7 @@ def diagram_from_permutation(x: Permutation) -> Diagram:
     return Diagram(x.n, frozenset([alpha for _, alpha in _descent_arcs(x)]))
 
 
-@dataclass(frozen=True)
-class _Component:
+class _Component(NamedTuple):
     points_desc: tuple[int, ...]
     lo: int
     hi: int
@@ -297,10 +295,11 @@ def _count_cliques(allowed: int, later: list[int], width: int, memo: dict[int, i
     return got
 
 
-@dataclass(frozen=True)
-class DiagramClass:
-    is_matching: bool
-    is_perfect_matching: bool
+class DiagramClass(_Frozen):
+    __slots__ = _fields = ("is_matching", "is_perfect_matching")
+
+    def __init__(self, is_matching: bool, is_perfect_matching: bool) -> None:
+        self._fill(is_matching, is_perfect_matching)
 
 
 def classify_diagram(diagram: Diagram) -> DiagramClass:

@@ -20,12 +20,44 @@ Positions and values are 1-based throughout.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
+from operator import attrgetter
 from typing import Iterable, Iterator
 
 
-@dataclass(frozen=True)
-class Permutation:
+class _Frozen:
+    """A value that equals, hashes, pickles and prints as its `_fields`, set once by `__init__`."""
+
+    __slots__ = ()
+    _fields: tuple[str, ...]  # each subclass names its fields
+
+    def __init_subclass__(cls) -> None:
+        get = attrgetter(*cls._fields)  # of one name it gives the bare value, so that one is wrapped
+        cls._values = staticmethod(get if len(cls._fields) > 1 else lambda x: (get(x),))
+
+    def _fill(self, *values: object) -> None:
+        for name, value in zip(self._fields, values):
+            object.__setattr__(self, name, value)
+
+    def __eq__(self, other: object) -> bool:
+        return self._values(self) == self._values(other) if other.__class__ is self.__class__ else NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(self._values(self))
+
+    def __setattr__(self, name: str, value: object = None) -> None:
+        raise AttributeError(f"cannot assign to or delete field {name!r}")
+
+    __delattr__ = __setattr__
+
+    def __reduce__(self) -> tuple:
+        return self.__class__, self._values(self)
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={value!r}" for name, value in zip(self._fields, self._values(self)))
+        return f"{self.__class__.__qualname__}({fields})"
+
+
+class Permutation(_Frozen):
     """A permutation of {1..n} in one-line notation.
 
     >>> Permutation((2, 5, 3, 1, 4)).n
@@ -39,13 +71,13 @@ class Permutation:
     the inverse map), never on parsed or user-given words.
     """
 
-    entries: tuple[int, ...]
+    __slots__ = _fields = ("entries",)
 
-    def __post_init__(self) -> None:
-        entries = tuple(self.entries)
-        object.__setattr__(self, "entries", entries)
+    def __init__(self, entries: tuple[int, ...]) -> None:
+        entries = tuple(entries)
         if sorted(entries) != list(range(1, len(entries) + 1)):
             raise ValueError(f"not a permutation of 1..{len(entries)}: {entries!r}")
+        object.__setattr__(self, "entries", entries)
 
     @classmethod
     def _trusted(cls, entries: tuple[int, ...]) -> Permutation:
@@ -67,8 +99,7 @@ class Permutation:
         return f"Permutation({str(self)!r})"
 
 
-@dataclass(frozen=True)
-class InversionSet:
+class InversionSet(_Frozen):
     """A set of pairs (b, a), b > a, attached to a fixed n.
 
     Arbitrary pair sets are representable; only sets that are both
@@ -76,14 +107,14 @@ class InversionSet:
     is checked by `is_valid_inversion_set`, not at construction.
     """
 
-    n: int
-    pairs: frozenset[tuple[int, int]]
+    __slots__ = _fields = ("n", "pairs")
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "pairs", frozenset(self.pairs))
-        for b, a in self.pairs:
-            if not 1 <= a < b <= self.n:
-                raise ValueError(f"bad inversion pair ({b}, {a}) for n={self.n}")
+    def __init__(self, n: int, pairs: frozenset[tuple[int, int]]) -> None:
+        pairs = frozenset(pairs)
+        for b, a in pairs:
+            if not 1 <= a < b <= n:
+                raise ValueError(f"bad inversion pair ({b}, {a}) for n={n}")
+        self._fill(n, pairs)
 
 
 def identity(n: int) -> Permutation:

@@ -323,3 +323,20 @@ def test_closed_stdout_ends_quietly():
     err = proc.stderr.read()
     assert proc.wait() == 0
     assert err == b""
+
+
+def test_cli_imports_neither_dataclasses_nor_json():
+    # against the interpreter's own start-up modules, so a site hook that loads them does not count
+    src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
+    env = dict(os.environ, PYTHONPATH=src)
+    probe = "import sys; bare = set(sys.modules); import arcdiag.cli; print(*sorted(set(sys.modules) - bare))"
+    proc = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True, env=env, check=True)
+    loaded = set(proc.stdout.split())
+    assert "arcdiag.cli" in loaded
+    assert not loaded & {"dataclasses", "json"}
+    # `verify --json` imports json when it needs it
+    proc = subprocess.run([sys.executable, "-m", "arcdiag.cli", "verify", "--n-max", "2", "--json"],
+                          capture_output=True, text=True, env=env)
+    assert proc.returncode == 0 and proc.stderr == ""
+    report = json.loads(proc.stdout)
+    assert report["passed"] is True and report["n_max"] == 2

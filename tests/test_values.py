@@ -1,0 +1,110 @@
+"""The value classes: equality, hashing, immutability, keywords, pickling and copying."""
+import copy
+import pickle
+
+import pytest
+
+from arcdiag import (
+    Arc,
+    ArcSet,
+    CheckResult,
+    CountTable,
+    DiagramClass,
+    InversionSet,
+    Permutation,
+    VerifyReport,
+    make_arc,
+)
+from arcdiag.arcs import side_string
+
+CHECK = CheckResult("catalan", 3, 5, 5, True)
+
+# (instance, its field names) for every value class
+VALUES = [
+    (Permutation((2, 5, 3, 1, 4)), ("entries",)),
+    (InversionSet(3, frozenset({(3, 1), (2, 1)})), ("n", "pairs")),
+    (make_arc(9, 4, 8, {6}), ("n", "a", "b", "mask")),
+    (ArcSet(4, frozenset({make_arc(4, 1, 4, {2}), make_arc(4, 2, 3)})), ("n", "arcs")),
+    (DiagramClass(True, False), ("is_matching", "is_perfect_matching")),
+    (CountTable(3, (1, 4, 1)), ("n", "counts")),
+    (CHECK, ("name", "n", "expected", "observed", "passed")),
+    (VerifyReport(3, (CHECK,)), ("n_max", "results")),
+]
+IDS = [type(value).__name__ for value, _ in VALUES]
+
+
+def fields_of(value, names):
+    return tuple(getattr(value, name) for name in names)
+
+
+@pytest.mark.parametrize("value, names", VALUES, ids=IDS)
+def test_equal_and_hashed_as_the_field_tuple(value, names):
+    fields = fields_of(value, names)
+    twin = type(value)(*fields)
+    assert twin == value and twin is not value
+    assert hash(value) == hash(fields)
+    # a plain tuple of the same fields is not the value
+    assert value != fields and fields != value
+
+
+@pytest.mark.parametrize("value, names", VALUES, ids=IDS)
+def test_built_from_keywords(value, names):
+    assert type(value)(**dict(zip(names, fields_of(value, names)))) == value
+
+
+@pytest.mark.parametrize("value, names", VALUES, ids=IDS)
+def test_fields_cannot_be_set_or_deleted(value, names):
+    for name in names:
+        with pytest.raises(AttributeError):
+            setattr(value, name, None)
+        with pytest.raises(AttributeError):
+            delattr(value, name)
+    with pytest.raises(AttributeError):
+        value.extra = 1
+
+
+@pytest.mark.parametrize("value, names", VALUES, ids=IDS)
+def test_pickle_and_deepcopy_round_trip(value, names):
+    for copied in (pickle.loads(pickle.dumps(value)), copy.deepcopy(value), copy.copy(value)):
+        assert type(copied) is type(value)
+        assert copied == value and hash(copied) == hash(value)
+        assert repr(copied) == repr(value)
+
+
+def test_round_trips_after_the_caches_fill():
+    alpha = make_arc(9, 4, 8, {6})
+    side_string(alpha)
+    arcs = ArcSet(4, frozenset({make_arc(4, 1, 4, {2}), make_arc(4, 2, 3)}))
+    assert arcs.subarc_closed is False
+    for copied in (pickle.loads(pickle.dumps(alpha)), copy.deepcopy(alpha)):
+        assert copied == alpha and side_string(copied) == "LRL"
+    for copied in (pickle.loads(pickle.dumps(arcs)), copy.deepcopy(arcs)):
+        assert copied == arcs and copied.subarc_closed is False
+
+
+def test_side_string_cache_is_outside_eq_hash_and_repr():
+    fresh, cached = Arc(9, 4, 8, 2), Arc(9, 4, 8, 2)
+    assert side_string(cached) == "LRL"
+    assert fresh == cached and cached == fresh
+    assert hash(fresh) == hash(cached) == hash((9, 4, 8, 2))
+    assert repr(fresh) == repr(cached) == "Arc(9, '4-8:LRL')"
+
+
+def test_named_hash_contracts():
+    e = (2, 5, 3, 1, 4)
+    assert hash(Permutation(e)) == hash((e,))
+    assert Permutation(entries=[2, 5, 3, 1, 4]).entries == e
+    assert hash(Arc(9, 4, 8, 2)) == hash((9, 4, 8, 2))
+    table = CountTable(n=3, counts=(1, 4, 1))
+    assert table.total == 6
+
+
+def test_record_reprs_name_their_fields():
+    assert repr(CountTable(3, (1, 4, 1))) == "CountTable(n=3, counts=(1, 4, 1))"
+    assert repr(InversionSet(2, frozenset({(2, 1)}))) == "InversionSet(n=2, pairs=frozenset({(2, 1)}))"
+    assert repr(CHECK) == "CheckResult(name='catalan', n=3, expected=5, observed=5, passed=True)"
+
+
+def test_inversion_pairs_are_checked():
+    with pytest.raises(ValueError, match=r"bad inversion pair \(1, 2\) for n=2"):
+        InversionSet(n=2, pairs={(1, 2)})
