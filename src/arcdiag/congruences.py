@@ -15,13 +15,17 @@ only while `keep` accepts the (a, b, mask) key of its newest descent's
 arc: one route looks the key up in U, the other asks a memo that decides
 once per key whether a subarc-minimal contracted arc lies below the arc,
 that is, whether its forbidden descent pattern (see `has_pattern`) occurs.
+The last few values are placed through a second memo: their kept orders
+depend only on the last placed value and the unplaced set, so each such
+pair's orders are built once and appended to every prefix ending so.
 
 A congruence contracts the weak-order cover that swaps a descent of x
 exactly when it contracts that descent's arc, the cover's label.  Walks
 swapping contracted descents (ascents), keeping the same mask per
 position, reach class bottoms (tops).  A bottom's descents are all
 uncontracted, and the classes its class covers in the quotient are
-those of its lower covers, one per descent.
+those of its lower covers, one per descent; the walk from such a cover
+starts beside its swap, since every other label is the bottom's own.
 
 Named families are rules: each decides from an arc's (a, b, mask) key
 alone whether the arc is uncontracted, and each is closed under subarcs
@@ -37,7 +41,7 @@ with it directly, building no set, at any n.
 """
 from __future__ import annotations
 
-from typing import Callable, Iterable, Iterator
+from typing import Callable, Iterable, Iterator, Sequence
 
 from .arcs import Arc, ArcSet, _grown, _inflections, _right_mask, arc_key
 from .diagrams import enumerate_diagrams
@@ -103,6 +107,23 @@ def has_pattern(x: Permutation, alpha: Arc) -> bool:
     return False
 
 
+_TAIL = 4  # the last values of each listed word, placed through the tails memo
+
+
+def _kept_orders(tails: dict[tuple[int, tuple[int, ...]], list[tuple[int, ...]]],
+                 keep: Callable[[tuple[int, int, int]], bool],
+                 b: int, rest: tuple[int, ...], used: int) -> list[tuple[int, ...]]:
+    """The orders of `rest` that may follow b in `_prefix_walk`, smallest first, memoized in `tails`."""
+    if not rest:
+        return [()]
+    key = (b, rest)
+    if key not in tails:
+        tails[key] = [(v,) + t for j, v in enumerate(rest)
+                      if v > b or keep((v, b, _right_mask(v, b, used)))
+                      for t in _kept_orders(tails, keep, v, rest[:j] + rest[j + 1:], used | 1 << v)]
+    return tails[key]
+
+
 def _prefix_walk(n: int, keep: Callable[[tuple[int, int, int]], bool]) -> Iterator[Permutation]:
     """The permutations of 1..n in lexicographic order, pruned at descents.
 
@@ -110,23 +131,24 @@ def _prefix_walk(n: int, keep: Callable[[tuple[int, int, int]], bool]) -> Iterat
     (a bit per placed value) sit left of it, the rest right; unless
     `keep((a, b, _right_mask(a, b, used)))` holds, the prefix goes with
     all its completions.  A stack holds (prefix, unplaced values, used);
-    children go on in reverse, so they come off smallest first, and the
-    last two values are placed inline.
+    children go on in reverse, so they come off smallest first.
+
+    Once at most `_TAIL` values are unplaced, the kept orders of `rest`
+    depend only on the last placed value b and on `rest` (`used` is the
+    rest's complement), so `_kept_orders` builds them once per (b, rest)
+    and they are appended to every prefix that ends the same way.  The
+    memo holds at most n * C(n, k) * k! suffixes of each length
+    k <= `_TAIL` (b lies outside `rest`), whatever the output size, and
+    goes with the generator.
     """
-    if n < 2:
-        yield Permutation._trusted(tuple(range(1, n + 1)))
-        return
+    tails: dict[tuple[int, tuple[int, ...]], list[tuple[int, ...]]] = {}
     stack = [((), tuple(range(1, n + 1)), 0)]
     while stack:
         word, rest, used = stack.pop()
         b = word[-1] if word else 0  # the first value forms no descent
-        if len(rest) == 2:
-            u, w = rest
-            if u > b or keep((u, b, _right_mask(u, b, used))):
-                yield Permutation._trusted(word + rest)
-            # every value between u and w is placed, so the arc of w > u has no right side
-            if (w > b or keep((w, b, _right_mask(w, b, used)))) and keep((u, w, 0)):
-                yield Permutation._trusted(word + (w, u))
+        if len(rest) <= _TAIL:
+            for t in _kept_orders(tails, keep, b, rest, used):
+                yield Permutation._trusted(word + t)
             continue
         for j in range(len(rest) - 1, -1, -1):
             v = rest[j]
@@ -171,17 +193,24 @@ def uncontracted_by_avoidance(n: int, arcset: ArcSet) -> Iterator[Permutation]:
     yield from _prefix_walk(n, _PatternMemo(minimal_contracted_generators(n, arcset)).__getitem__)
 
 
-def _walk(x: Permutation, keep: Callable[[tuple[int, int, int]], bool], down: bool) -> Permutation:
-    """Swap descents (ascents) at positions i, i+1 while `keep` fails on their cover label's key.
-
-    The label's right side is read from `before[i]`, the values at
-    positions 1..i-1.  A swap at i changes only `before[i + 1]` and the
-    labels at i - 1 and i + 1, so only those go back on the stack.
-    """
-    e, before, n = list(x.entries), [0, 0], x.n
+def _before_masks(e: Sequence[int]) -> list[int]:
+    """before[i] has a bit per value at positions 1..i-1 of e (1-based); index 0 unused."""
+    before = [0, 0]
     for v in e[:-1]:
         before.append(before[-1] | 1 << v)
-    todo = list(range(n - 1, 0, -1))
+    return before
+
+
+def _swap_walk(e: list[int], before: list[int], todo: list[int],
+               keep: Callable[[tuple[int, int, int]], bool], down: bool) -> tuple[int, ...]:
+    """Swap descents (ascents) at positions i, i+1 while `keep` fails on their cover label's key.
+
+    Positions come off the `todo` stack.  The label's right side is read
+    from `before[i]`, the values at positions 1..i-1.  A swap at i
+    changes only `before[i + 1]` and the labels at i - 1 and i + 1, so
+    only those go back on the stack.  `e` and `before` change in place.
+    """
+    n = len(e)
     while todo:
         i = todo.pop()
         if not 0 < i < n or (e[i - 1] > e[i]) != down:
@@ -191,7 +220,31 @@ def _walk(x: Permutation, keep: Callable[[tuple[int, int, int]], bool], down: bo
             e[i - 1], e[i] = e[i], e[i - 1]
             before[i + 1] = before[i] | 1 << e[i - 1]
             todo += (i + 1, i - 1)
-    return Permutation._trusted(tuple(e))
+    return tuple(e)
+
+
+def _walk(x: Permutation, keep: Callable[[tuple[int, int, int]], bool], down: bool) -> Permutation:
+    """The bottom (top) of x's class: `_swap_walk` from x, every position on the stack."""
+    e = list(x.entries)
+    return Permutation._trusted(_swap_walk(e, _before_masks(e), list(range(x.n - 1, 0, -1)), keep, down))
+
+
+def _cover_bottoms(y: Permutation, keep: Callable[[tuple[int, int, int]], bool]) -> Iterator[Permutation]:
+    """For each descent of the class bottom y, left to right, the bottom of y with it swapped.
+
+    Every other label of the swapped word is one of y's own, and a
+    bottom's labels are all kept, so the walk starts at the two
+    positions beside the swap only.
+    """
+    e = y.entries
+    before = _before_masks(e)
+    for s in range(1, y.n):
+        if e[s - 1] > e[s]:
+            x = list(e)
+            x[s - 1], x[s] = e[s], e[s - 1]
+            swapped = before.copy()
+            swapped[s + 1] = before[s] | 1 << e[s]
+            yield Permutation._trusted(_swap_walk(x, swapped, [s + 1, s - 1], keep, True))
 
 
 def project_down(x: Permutation, arcset: ArcSet) -> Permutation:

@@ -86,6 +86,12 @@ class Permutation(_Frozen):
         object.__setattr__(x, "entries", entries)
         return x
 
+    def __eq__(self, other: object) -> bool:  # the base's rule, reading the one field directly
+        return self.entries == other.entries if other.__class__ is self.__class__ else NotImplemented
+
+    def __hash__(self) -> int:
+        return hash((self.entries,))
+
     @property
     def n(self) -> int:
         return len(self.entries)

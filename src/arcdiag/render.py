@@ -13,9 +13,9 @@ the error of `validate_diagram`.  Output depends only on the input values.
 from __future__ import annotations
 
 from .arcs import Arc, ArcSet, arc_key, all_arcs, subarc_covers
-from .congruences import project_down, uncontracted_permutations
+from .congruences import _cover_bottoms, uncontracted_permutations
 from .diagrams import Diagram, _forcing, _require_compatible
-from .perms import all_permutations, lower_covers, upper_covers
+from .perms import all_permutations, upper_covers
 
 SPACING = 40  # vertical px between points
 UNIT = 22  # horizontal px per offset unit
@@ -166,8 +166,9 @@ def export_dot(kind: str, n: int, arcset: ArcSet | None = None) -> str:
             # every descent of a class bottom y is uncontracted, and the classes
             # that y's class covers are those of y's lower covers, all distinct
             elements = list(uncontracted_permutations(n, arcset))
+            keep = arcset._keys.__contains__
             covers = sorted(
-                ((project_down(x, arcset), y) for y in elements for x in lower_covers(y)),
+                ((x, y) for y in elements for x in _cover_bottoms(y, keep)),
                 key=lambda e: (e[0].entries, e[1].entries),
             )
         names = {x: str(x) for x in elements}  # every cover end is an element

@@ -1,4 +1,5 @@
 import bisect
+import inspect
 import itertools
 import random
 import sys
@@ -26,6 +27,7 @@ from arcdiag import (
     is_subarc,
     ji_from_arc,
     join,
+    lower_covers,
     make_arc,
     minimal_contracted_generators,
     named_congruence,
@@ -37,7 +39,7 @@ from arcdiag import (
     uncontracted_by_avoidance,
     uncontracted_permutations,
 )
-from arcdiag.congruences import _walk
+from arcdiag.congruences import _cover_bottoms, _walk
 from arcdiag.perms import positions
 from arcdiag.textforms import _spec_rule
 
@@ -148,10 +150,13 @@ def test_avoidance_route_matches_delta_route(n, delta_image):
 
 
 @pytest.mark.parametrize("n", range(1, 9))
-@pytest.mark.parametrize("spec", ["tamari", "baxter", "clumped:1", "maxlen:3", "cambrian"])
+@pytest.mark.parametrize("spec", ["tamari", "baxter", "clumped:1", "clumped:2", "maxlen:1", "maxlen:2",
+                                  "maxlen:3", "cambrian", "cambrian-seeded"])
 def test_listing_routes_match_scans_on_named_specs(n, spec, delta_image):
     if spec == "cambrian":
         spec += ":" + ("LR" * n)[:n]
+    elif spec == "cambrian-seeded":
+        spec = "cambrian:" + seeded_orientations(n, 1, seed=19000 + n)[0]
     assert_routes_match_scans(n, parse_congruence_spec(spec, n), delta_image(n))
 
 
@@ -165,7 +170,7 @@ def test_full_arc_set_lists_all_of_s_n(n):
 @pytest.mark.parametrize("route", [uncontracted_permutations, uncontracted_by_avoidance],
                          ids=lambda route: route.__name__)
 def test_listing_at_the_smallest_sizes_and_the_empty_set(route):
-    # the walk places the last two values inline; n = 2 is nothing but that step
+    # up to `_TAIL` points the whole listing comes from the tails memo, empty rest included
     assert [str(x) for x in route(0, full_arc_set(0))] == [""]
     assert [str(x) for x in route(1, full_arc_set(1))] == ["1"]
     assert [str(x) for x in route(2, full_arc_set(2))] == ["12", "21"]
@@ -204,6 +209,20 @@ def test_pattern_rule_runs_once_per_arc_key(monkeypatch):
     # for a closed set, no minimal contracted arc below an arc means the arc is in it
     assert all(kept == (key in u._keys) for key, kept in decided)
     assert any(not kept for _, kept in decided)
+
+
+def test_tails_memo_needs_the_last_placed_value(monkeypatch):
+    # a copy of the memo that forgets b hands one tail list to prefixes
+    # ending in different values, and lists words with contracted descents
+    u = named_congruence(6, "baxter")  # Tamari listings happen to survive the mutation
+    right = list(uncontracted_permutations(6, u))
+    assert list(arcdiag.congruences._prefix_walk(6, u._keys.__contains__)) == right
+    source = inspect.getsource(arcdiag.congruences._kept_orders)
+    assert source.count("key = (b, rest)") == 1
+    namespace = dict(vars(arcdiag.congruences))
+    exec(source.replace("key = (b, rest)", "key = rest"), namespace)
+    monkeypatch.setattr(arcdiag.congruences, "_kept_orders", namespace["_kept_orders"])
+    assert len(list(uncontracted_permutations(6, u))) != len(right)
 
 
 def test_listing_is_output_sensitive():
@@ -458,8 +477,25 @@ def test_walk_matches_rescanning_oracle_at_the_extremes(n):
 def test_weak_export_matches_rescanning_walk(n, spec, monkeypatch):
     u = parse_congruence_spec(spec, n)
     fast = export_dot("weak", n, u)
-    monkeypatch.setattr(arcdiag.render, "project_down", lambda x, u: rescanning_walk(x, u, down=True))
+    monkeypatch.setattr(arcdiag.render, "_cover_bottoms",
+                        lambda y, keep: [rescanning_walk(x, u, down=True) for x in lower_covers(y)])
     assert export_dot("weak", n, u) == fast
+
+
+def descent_covers(y):
+    """y's lower covers in S_n, one per descent, left to right."""
+    e = y.entries
+    return [Permutation(e[:i] + (e[i + 1], e[i]) + e[i + 2:]) for i in range(y.n - 1) if e[i] > e[i + 1]]
+
+
+@pytest.mark.parametrize("n", range(1, 8))
+def test_cover_bottoms_match_projected_covers(n):
+    specs = ["tamari", "baxter", "clumped:1", "cambrian:" + ("LR" * n)[:n]]
+    for u in [parse_congruence_spec(spec, n) for spec in specs] + list(seeded_contract_sets(n, 2, seed=19200 + n)):
+        for y in uncontracted_permutations(n, u):
+            got = list(_cover_bottoms(y, u._keys.__contains__))
+            assert got == [project_down(x, u) for x in descent_covers(y)], (str(u), y)
+            assert set(got) == {project_down(x, u) for x in lower_covers(y)}
 
 
 def seeded_orientations(n, count, seed):

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import arcdiag.congruences
 import arcdiag.perms
 from arcdiag import (
     InversionSet,
@@ -372,6 +373,7 @@ def _built_from(x, sets):
     for u in sets:
         yield project_down(x, u)
         yield project_up(x, u)
+        yield from arcdiag.congruences._cover_bottoms(project_down(x, u), u._keys.__contains__)
 
 
 def test_built_permutations_match_checked_construction():

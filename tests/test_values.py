@@ -48,6 +48,17 @@ def test_equal_and_hashed_as_the_field_tuple(value, names):
 
 
 @pytest.mark.parametrize("value, names", VALUES, ids=IDS)
+def test_equality_defers_to_other_classes(value, names):
+    class Lookalike:  # the same fields on another class
+        pass
+
+    other = Lookalike()
+    other.__dict__.update(zip(names, fields_of(value, names)))
+    assert value.__eq__(other) is NotImplemented and value.__eq__(fields_of(value, names)) is NotImplemented
+    assert value != other
+
+
+@pytest.mark.parametrize("value, names", VALUES, ids=IDS)
 def test_built_from_keywords(value, names):
     assert type(value)(**dict(zip(names, fields_of(value, names)))) == value
 
