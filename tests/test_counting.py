@@ -27,8 +27,10 @@ from arcdiag import (
     uncontracted_by_avoidance,
     verify_report,
 )
-from arcdiag.counting import ALTERNATING_EVEN
-from arcdiag.diagrams import _compat_graph
+from arcdiag import Permutation, counting, diagrams
+from arcdiag.counting import ALTERNATING_EVEN, _diagram_key
+from arcdiag.diagrams import _compat_graph, count_diagrams
+from arcdiag.textforms import parse_congruence_spec
 
 
 def test_catalan_values():
@@ -73,17 +75,21 @@ def test_alternating_constants_match_brute_force():
         assert count == expected
 
 
-# clumped:1 totals for n = 1..12, the generic-rectangulation counts the
+# clumped:1 totals for n = 1..13, the generic-rectangulation counts the
 # paper ties to that quotient; the program's output, cross-checked below
+# (n = 13 also by the clique count before its suffix stop, and by the
+# point sweep of ROADMAP item 5)
 GENERIC_RECTANGULATIONS = (
     1, 2, 6, 24, 116, 642, 3938, 26194, 186042, 1395008, 10948768, 89346128,
+    754062288,
 )
 BRUTEFORCE_N9 = Path(__file__).parents[1] / "perfbench" / "bruteforce_n9.json"
 
 
 def test_generic_rectangulation_totals():
     totals = tuple(
-        count_by_arcs(n, named_congruence(n, "clumped", k=1)).total for n in range(1, 13)
+        count_by_arcs(n, named_congruence(n, "clumped", k=1)).total
+        for n in range(1, len(GENERIC_RECTANGULATIONS) + 1)
     )
     assert totals == GENERIC_RECTANGULATIONS
     for n in range(1, 8):
@@ -140,6 +146,31 @@ def test_verify_report_text_and_json():
     assert all({"name", "n", "expected", "observed", "passed"} <= set(r) for r in doc["checks"])
 
 
+def test_diagram_keys_are_exact():
+    for n in range(1, 7):
+        listed = list(enumerate_diagrams(n))
+        assert len({_diagram_key(d) for d in listed}) == len(listed)
+
+
+def test_verify_report_sees_a_map_that_is_not_one_to_one(monkeypatch):
+    # two permutations sent to one diagram: the key row, the round trip and
+    # the perfect-matching tally each fail, and every other row still runs
+    real = counting.diagram_from_permutation
+    twin = Permutation((2, 1, 4, 3))
+
+    def collapsing(x):
+        return real(twin if x == Permutation((4, 3, 2, 1)) else x)
+
+    monkeypatch.setattr(counting, "diagram_from_permutation", collapsing)
+    failed = {(r.name, r.n): r.observed for r in verify_report(4).failures()}
+    assert failed == {
+        ("distinct-diagrams", 4): 23,
+        ("round-trip-mismatches", 4): 1,
+        ("matching-vs-consecutive-321", 4): 1,
+        ("perfect-matching-count", 4): 6,
+    }
+
+
 def test_inflections_drive_zero_inflection_count():
     u = full_arc_set(4)
     zero = [alpha for alpha in u.arcs if inflections(alpha) == 0]
@@ -152,6 +183,93 @@ def listed_row(n, arcset):
     for diagram in enumerate_diagrams(n, arcset):
         row[len(diagram.arcs)] += 1
     return tuple(row)
+
+
+def summed(n, arcset):
+    """The oracle: the clique count summed over every arc of each allowed set.
+
+    F(S) = 1 + x * (the sum of F(S & later[i]) over every i in S), memoized
+    on S and packed as in `count_diagrams`; returns the row by arc count
+    and the sets the memo holds.
+    """
+    arcs, later = _compat_graph(n, arcset)
+    width = math.factorial(n).bit_length()
+    memo = {}
+
+    def cliques(allowed):
+        got = memo.get(allowed)
+        if got is None:
+            below = 0
+            m = allowed
+            while m:
+                low = m & -m
+                m ^= low
+                below += cliques(allowed & later[low.bit_length() - 1])
+            got = memo[allowed] = 1 + (below << width)
+        return got
+
+    packed = cliques((1 << len(arcs)) - 1)
+    return tuple(packed >> (k * width) & (1 << width) - 1 for k in range(n)), set(memo)
+
+
+def memo_states(monkeypatch, n, arcset):
+    """The sets `count_diagrams` memoizes while counting `arcset`."""
+    memos = []
+    real = diagrams._count_cliques
+
+    def spy(allowed, later, width, memo):
+        memos.append(memo)
+        return real(allowed, later, width, memo)
+
+    monkeypatch.setattr(diagrams, "_count_cliques", spy)
+    count_diagrams(n, arcset)
+    monkeypatch.undo()
+    return set(memos[0])
+
+
+def named_specs(n, rng):
+    """Every named family on n points: each bound, and the alternating and three seeded orientations."""
+    specs = ["tamari", "baxter"]
+    specs += [f"clumped:{k}" for k in range(n)] + [f"maxlen:{k}" for k in range(1, n + 1)]
+    orientations = {"LR" * n, "RL" * n} | {"".join(rng.choice("LR") for _ in range(n)) for _ in range(3)}
+    return specs + [f"cambrian:{o[:n]}" for o in sorted(orientations)]
+
+
+@pytest.mark.parametrize("n", range(1, 11))
+def test_count_matches_summed_oracle_named_specs(n):
+    rng = random.Random(2000 + n)
+    for spec in named_specs(n, rng):
+        u = parse_congruence_spec(spec, n)
+        assert count_by_arcs(n, u).counts == summed(n, u)[0], spec
+    assert count_by_arcs(n, full_arc_set(n)).counts == summed(n, None)[0]
+
+
+@pytest.mark.parametrize("n", range(2, 10))
+def test_count_matches_summed_oracle_random_congruences(n):
+    rng = random.Random(3000 + n)
+    arcs = all_arcs(n)
+    for _ in range(6):
+        u = congruence_from_contracted(n, rng.sample(arcs, rng.randint(1, min(5, len(arcs)))))
+        assert count_by_arcs(n, u).counts == summed(n, u)[0], u
+
+
+@pytest.mark.parametrize("n", range(2, 9))
+def test_count_matches_summed_oracle_unclosed_subsets(n):
+    # count_diagrams takes any arc set; count_by_arcs alone asks for closure
+    rng = random.Random(4000 + n)
+    arcs = all_arcs(n)
+    for density in (0.2, 0.5, 0.8):
+        subset = ArcSet(n, frozenset(alpha for alpha in arcs if rng.random() < density))
+        assert count_diagrams(n, subset) == summed(n, subset)[0], subset
+
+
+@pytest.mark.parametrize("n,spec", [(9, "full"), (9, "tamari"), (9, "baxter"), (9, "cambrian:LRLRLRLRL"),
+                                    (9, "clumped:1"), (9, "clumped:2"), (9, "maxlen:3"), (9, "maxlen:4"),
+                                    (10, "tamari"), (10, "baxter"), (10, "cambrian:RLRLRLRLRL"), (10, "maxlen:4")])
+def test_suffix_stop_memoizes_the_summed_states(monkeypatch, n, spec):
+    # stopping at a memoized suffix skips terms, never states, so memory stays as it was
+    u = full_arc_set(n) if spec == "full" else parse_congruence_spec(spec, n)
+    assert memo_states(monkeypatch, n, u) == summed(n, u)[1]
 
 
 @pytest.mark.parametrize("n", range(1, 9))
