@@ -10,11 +10,13 @@ The component walk mirrors how the diagram sits in the plane.  Treating
 arcs as edges, every component of a valid diagram is a path through
 decreasing point labels.  A component sits right of another when a
 witness point lies left of (or on) the first and right of (or on) the
-second; repeatedly deleting the leftmost component with the smallest
-minimum label reconstructs the one-line notation.
+second.  Deleting the components in an in-degree order, always the
+leftmost one with the smallest minimum label, reconstructs the one-line
+notation in O(k²) steps for k components.
 """
 from __future__ import annotations
 
+import bisect
 import math
 from collections import defaultdict
 from typing import Iterable, Iterator, NamedTuple, Sequence
@@ -93,7 +95,11 @@ def deletion_stages(diagram: Diagram) -> list[tuple[int, ...]]:
 
     At every stage the components not right of any remaining component
     occupy disjoint label intervals; the one with the smallest minimum
-    is deleted.  Inputs that cannot be drawn fail loudly instead of
+    is deleted.  In Kahn's order each component counts the components it
+    is right of, and joins a sorted list of the leftmost ones when the
+    count reaches 0, checked there against its two neighbours; deleting
+    the first lowers its dependants' counts.  Each step takes O(k²) time
+    for k components.  Inputs that cannot be drawn fail loudly instead of
     producing a wrong permutation: the stages must spell a permutation
     whose diagram is the input, which holds exactly for valid diagrams
     since `diagram_from_permutation` is a bijection onto them.
@@ -127,23 +133,31 @@ def deletion_stages(diagram: Diagram) -> list[tuple[int, ...]]:
         if color[i] == 0:
             check_acyclic(i)
 
-    remaining = set(range(k))
+    blockers = [sum(row) for row in right_of]  # remaining components i is right of
+    left_of = [[i for i in range(k) if right_of[i][j]] for j in range(k)]
+    ready: list[tuple[int, int, int]] = []  # (lo, hi, i) of the leftmost components, by lo
+
+    def make_ready(i: int) -> None:
+        lo, hi = comps[i].lo, comps[i].hi
+        at = bisect.bisect(ready, (lo,))
+        # the list stays disjoint, so only its neighbours can overlap the new span
+        if (at and ready[at - 1][1] >= lo) or (at < len(ready) and ready[at][0] <= hi):
+            raise ValueError("leftmost components overlap in label range")
+        ready.insert(at, (lo, hi, i))
+
+    for i in range(k):
+        if not blockers[i]:
+            make_ready(i)
     order: list[tuple[int, ...]] = []
-    while remaining:
-        lefts = [
-            i
-            for i in remaining
-            if not any(right_of[i][j] for j in remaining if j != i)
-        ]
-        if not lefts:
-            raise ValueError("no leftmost component among the remainder")
-        spans = sorted((comps[i].lo, comps[i].hi) for i in lefts)
-        for (_, prev_hi), (cur_lo, _) in zip(spans, spans[1:]):
-            if prev_hi >= cur_lo:
-                raise ValueError("leftmost components overlap in label range")
-        pick = min(lefts, key=lambda i: comps[i].lo)
+    while ready:
+        pick = ready.pop(0)[2]
         order.append(comps[pick].points_desc)
-        remaining.remove(pick)
+        for i in left_of[pick]:
+            blockers[i] -= 1
+            if not blockers[i]:
+                make_ready(i)
+    if len(order) < k:
+        raise ValueError("no leftmost component among the remainder")
     word = tuple(p for run in order for p in run)
     # each component goes in once and they partition 1..n, so the word is a permutation
     if diagram_from_permutation(Permutation._trusted(word)) != diagram:

@@ -25,6 +25,9 @@ from arcdiag import (
     permutation_from_diagram,
     validate_diagram,
 )
+from arcdiag import diagrams
+from arcdiag.diagrams import _Component
+from arcdiag.textforms import parse_arc
 
 perms = lambda n: st.permutations(range(1, n + 1)).map(lambda e: Permutation(tuple(e)))
 
@@ -211,6 +214,181 @@ def test_inverse_rejects_exactly_the_incompatible_sets(n):
             else:
                 with pytest.raises(ValueError):
                     inverse(d)
+
+
+CYCLE = "the left-of relation on components has a cycle"
+OVERLAP = "leftmost components overlap in label range"
+
+
+def rescanned_stages(diagram):
+    """The slow oracle of `deletion_stages`: rescan every remaining pair at each stage.
+
+    At every stage it lists the components not right of any remaining
+    one, checks their spans sorted by minimum, and deletes the one with
+    the smallest minimum: O(k³) for k components.  It reads
+    `_components` and `diagram_from_permutation` through the module, so
+    patching them there patches both routes.
+    """
+    comps = diagrams._components(diagram)
+    k = len(comps)
+    right_of = [
+        [i != j and comps[i].leftish & comps[j].rightish != 0 for j in range(k)]
+        for i in range(k)
+    ]
+    color = [0] * k
+
+    def check_acyclic(i):
+        color[i] = 1
+        for j in range(k):
+            if right_of[i][j]:
+                if color[j] == 1:
+                    raise ValueError(CYCLE)
+                if color[j] == 0:
+                    check_acyclic(j)
+        color[i] = 2
+
+    for i in range(k):
+        if color[i] == 0:
+            check_acyclic(i)
+    remaining = set(range(k))
+    order = []
+    while remaining:
+        lefts = [i for i in remaining if not any(right_of[i][j] for j in remaining if j != i)]
+        if not lefts:
+            raise ValueError("no leftmost component among the remainder")
+        spans = sorted((comps[i].lo, comps[i].hi) for i in lefts)
+        for (_, prev_hi), (cur_lo, _) in zip(spans, spans[1:]):
+            if prev_hi >= cur_lo:
+                raise ValueError(OVERLAP)
+        pick = min(lefts, key=lambda i: comps[i].lo)
+        order.append(comps[pick].points_desc)
+        remaining.remove(pick)
+    word = tuple(p for run in order for p in run)
+    if diagrams.diagram_from_permutation(Permutation._trusted(word)) != diagram:
+        raise ValueError(f"{diagram!r} is not a noncrossing arc diagram")
+    return order
+
+
+def outcome(inverse, diagram):
+    """The stage list, or the message of the ValueError raised instead."""
+    try:
+        return inverse(diagram)
+    except ValueError as exc:
+        return str(exc)
+
+
+def unchecked(n, body):
+    """The arcs of `body` on n points as a Diagram, without the compatibility check."""
+    return Diagram(n, frozenset(parse_arc(chunk, n) for chunk in body.split(";")))
+
+
+@pytest.mark.parametrize("n", range(1, 8))
+def test_stages_match_the_rescan_oracle(n, delta_image):
+    for d in delta_image(n).values():
+        assert deletion_stages(d) == rescanned_stages(d)
+
+
+@pytest.mark.parametrize("n", range(3, 8))
+def test_stages_match_the_rescan_oracle_on_arc_subsets(n):
+    # both routes raise on the same sets, with the same message
+    rng = random.Random(2100 + n)
+    arcs = all_arcs(n)
+    reached = set()
+    for _ in range(1000):
+        d = Diagram(n, frozenset(rng.sample(arcs, rng.randint(1, min(n, len(arcs))))))
+        got = outcome(deletion_stages, d)
+        assert got == outcome(rescanned_stages, d)
+        reached.add("stages" if isinstance(got, list) else got.split(")")[-1].strip())
+    assert reached == {"stages", CYCLE, "is not a noncrossing arc diagram"}
+
+
+@pytest.mark.parametrize(
+    "n, body, message",
+    [
+        # drawn by the seeded sampler above (seed 2100 + n), one per guard
+        (3, "1-3:L;1-3:R", CYCLE),
+        (4, "1-3:L;2-4:L", CYCLE),
+        (3, "1-2;1-3:R", "ArcSet(3, '1-2;1-3:R') is not a noncrossing arc diagram"),
+        (6, "1-6:LRRL;5-6", "ArcSet(6, '1-6:LRRL;5-6') is not a noncrossing arc diagram"),
+    ],
+)
+def test_guards_reached_by_arc_sets(n, body, message):
+    d = unchecked(n, body)
+    for inverse in (deletion_stages, rescanned_stages):
+        with pytest.raises(ValueError) as exc:
+            inverse(d)
+        assert str(exc.value) == message
+
+
+def test_overlap_guard_is_not_reached_by_arc_sets():
+    # A point strictly inside a component's span lies on a side of one of
+    # its arcs, which relates the two components, so two leftmost
+    # components never overlap: the guard checks `_components` alone.
+    arcs = all_arcs(4)
+    for r in range(len(arcs) + 1):
+        for sub in itertools.combinations(arcs, r):
+            assert outcome(deletion_stages, Diagram(4, frozenset(sub))) != OVERLAP
+
+
+def synthetic_components(rng, n):
+    """Components on 1..n with spans and a right-of relation drawn at random.
+
+    Component i is right of j when leftish(i) holds a point of j; each
+    rightish holds its own points alone.  The relation mostly follows a
+    random order, and sometimes has a cycle.
+    """
+    labels = [rng.randrange(rng.randint(1, n)) for _ in range(n)]
+    blocks = [[p for p in range(1, n + 1) if labels[p - 1] == b] for b in sorted(set(labels))]
+    rng.shuffle(blocks)
+    own = [sum(1 << p for p in pts) for pts in blocks]
+    comps = []
+    for i, pts in enumerate(blocks):
+        leftish = own[i]
+        for j in range(len(blocks)):
+            if j != i and (j < i or rng.random() < 0.03) and rng.random() < 0.3:
+                leftish |= 1 << rng.choice(blocks[j])
+        comps.append(_Component(tuple(reversed(pts)), pts[0], pts[-1], leftish, own[i]))
+    return comps
+
+
+@pytest.mark.parametrize("n", range(1, 13))
+def test_stages_match_the_rescan_oracle_on_synthetic_components(n, monkeypatch):
+    # Patched components reach the overlap guard, at any stage; the
+    # forward map is patched to agree, so whole stage lists compare too.
+    rng = random.Random(2200 + n)
+    reached = set()
+    monkeypatch.setattr(diagrams, "diagram_from_permutation", lambda x: d)
+    for _ in range(300):
+        comps = synthetic_components(rng, n)
+        monkeypatch.setattr(diagrams, "_components", lambda diagram: comps)
+        d = Diagram(n, frozenset())
+        got = outcome(deletion_stages, d)
+        assert got == outcome(rescanned_stages, d)
+        reached.add("stages" if isinstance(got, list) else got)
+    assert reached == ({"stages", CYCLE, OVERLAP} if n > 2 else {"stages"})
+
+
+def test_overlap_guard_is_reached_by_broken_components(monkeypatch):
+    # {1, 3} and {2} with no relation between them: both are leftmost
+    comps = [_Component((3, 1), 1, 3, 0b1010, 0b1010), _Component((2,), 2, 2, 0b100, 0b100)]
+    monkeypatch.setattr(diagrams, "_components", lambda diagram: comps)
+    for inverse in (deletion_stages, rescanned_stages):
+        with pytest.raises(ValueError) as exc:
+            inverse(Diagram(3, frozenset()))
+        assert str(exc.value) == OVERLAP
+
+
+def test_inverse_of_the_empty_diagram_at_n1000():
+    # n components with no relation: quadratic, where the rescan was cubic
+    n = 1000
+    assert permutation_from_diagram(Diagram(n, frozenset())) == Permutation(tuple(range(1, n + 1)))
+
+
+def test_inverse_of_a_random_permutation_at_n1000():
+    entries = list(range(1, 1001))
+    random.Random(1000).shuffle(entries)
+    x = Permutation(tuple(entries))
+    assert permutation_from_diagram(diagram_from_permutation(x)) == x
 
 
 def test_classify_diagram():
