@@ -9,6 +9,7 @@ from .arcs import (
     canonical_joinands,
     compatible,
     forces_right_of,
+    full_arc_set,
     incompatibility_reason,
     inflections,
     is_subarc,
@@ -20,7 +21,6 @@ from .arcs import (
 from .congruences import (
     complex_faces,
     congruence_from_contracted,
-    full_arc_set,
     has_pattern,
     minimal_contracted_generators,
     named_congruence,

@@ -14,7 +14,8 @@ joinands live here too: each is the permutation of a descent's arc.
 
 Two arcs are compatible when some noncrossing diagram contains both,
 which reduces to a finite check on shared endpoints and side-forcing
-witness points.
+witness points.  A set of arcs, `ArcSet`, stores each as its (a, b, mask)
+key; an `Arc` is built only where one is printed or handed out.
 """
 from __future__ import annotations
 
@@ -27,8 +28,7 @@ from .perms import Permutation, _Frozen
 class Arc(_Frozen):
     """An arc from a up to b; bit i of `mask` is set when point a + 1 + i is on its right."""
 
-    _fields = ("n", "a", "b", "mask")
-    __slots__ = (*_fields, "_sides")  # `side_string` caches its result in `_sides`
+    __slots__ = _fields = ("n", "a", "b", "mask")
 
     def __init__(self, n: int, a: int, b: int, mask: int) -> None:
         if not 1 <= a < b <= n:
@@ -39,7 +39,6 @@ class Arc(_Frozen):
         object.__setattr__(self, "a", a)
         object.__setattr__(self, "b", b)
         object.__setattr__(self, "mask", mask)
-        object.__setattr__(self, "_sides", None)
 
     @property
     def interior(self) -> frozenset[int]:
@@ -54,9 +53,7 @@ class Arc(_Frozen):
         return self.interior - self.right
 
     def __str__(self) -> str:
-        if self.b == self.a + 1:
-            return f"{self.a}-{self.b}"
-        return f"{self.a}-{self.b}:{side_string(self)}"
+        return _arc_text(*arc_key(self))
 
     def __repr__(self) -> str:
         return f"Arc({self.n}, {str(self)!r})"
@@ -77,14 +74,21 @@ def make_arc(n: int, a: int, b: int, right: Iterable[int] = ()) -> Arc:
     return Arc(n, a, b, sum(1 << (p - a - 1) for p in right))
 
 
+def _spelled(key: tuple[int, int, int]) -> tuple[int, int, str]:
+    """(a, b, side string) of the arc with key (a, b, mask): how it prints, and its canonical order."""
+    a, b, mask = key
+    # bin() spells the mask top bit first, after a 1 that pads it to b - a - 1 digits
+    return a, b, bin(mask | 1 << (b - a - 1))[:2:-1].translate(_SIDE_LETTERS)
+
+
+def _arc_text(a: int, b: int, sides: str) -> str:
+    """An arc as text: `a-b`, then `:` and the side string when there are interior points."""
+    return f"{a}-{b}:{sides}" if sides else f"{a}-{b}"
+
+
 def side_string(alpha: Arc) -> str:
-    """One character per interior point, bottom to top, L or R; each arc spells it once."""
-    sides = alpha._sides
-    if sides is None:
-        # bin() spells the mask top bit first, after a 1 that pads it to b - a - 1 digits
-        sides = bin(alpha.mask | 1 << (alpha.b - alpha.a - 1))[:2:-1].translate(_SIDE_LETTERS)
-        object.__setattr__(alpha, "_sides", sides)  # a cache outside the fields
-    return sides
+    """One character per interior point, bottom to top, L or R."""
+    return _spelled((alpha.a, alpha.b, alpha.mask))[2]
 
 
 def side_mask(sides: str) -> int:
@@ -94,42 +98,52 @@ def side_mask(sides: str) -> int:
 
 def arc_key(alpha: Arc) -> tuple[int, int, str]:
     """Canonical sort key: ascending (a, b, side string)."""
-    return (alpha.a, alpha.b, side_string(alpha))
+    return _spelled((alpha.a, alpha.b, alpha.mask))
 
 
 class ArcSet(_Frozen):
     """A set of arcs on n points: a diagram, or the uncontracted arcs of a congruence.
 
-    Only the size is checked here, so broken sets can be built for the
-    negative paths.  `diagrams.validate_diagram` checks a diagram's arcs;
-    congruences check subarc closure where they use a set, once per set.
+    It stores its arcs' (a, b, mask) keys, `_keys`; `.arcs` views them as
+    `Arc` values.  Only the size is checked here, so broken sets can be
+    built for the negative paths.  `validate_diagram` checks a diagram's
+    arcs; congruences check subarc closure where they use a set, once per set.
     """
 
-    _fields = ("n", "arcs")  # and a __dict__ for the cached properties
+    _fields = ("n", "_keys")  # and a __dict__ for the cached properties
 
-    def __init__(self, n: int, arcs: frozenset[Arc]) -> None:
-        arcs = frozenset(arcs)
+    def __init__(self, n: int, arcs: Iterable[Arc]) -> None:
+        arcs = tuple(arcs)
         for alpha in arcs:
             if alpha.n != n:
                 raise ValueError(f"arc {alpha!r} does not live on {n} points")
-        self._fill(n, arcs)
+        self._fill(n, frozenset([(alpha.a, alpha.b, alpha.mask) for alpha in arcs]))
+
+    @classmethod
+    def _trusted(cls, n: int, keys: frozenset[tuple[int, int, int]]) -> ArcSet:
+        """The set of the arcs with these keys, each known to be an arc on n points."""
+        s = object.__new__(cls)
+        s.__dict__.update(n=n, _keys=keys)  # not `_fill`, whose loop makes this twice as slow
+        return s
+
+    def __reduce__(self) -> tuple:
+        return self._trusted, (self.n, self._keys)
+
+    @cached_property
+    def arcs(self) -> frozenset[Arc]:
+        return frozenset(Arc(self.n, *key) for key in self._keys)
 
     def sorted_arcs(self) -> tuple[Arc, ...]:
-        return tuple(sorted(self.arcs, key=arc_key))
+        return tuple(Arc(self.n, *key) for key in sorted(self._keys, key=_spelled))
 
-    def __contains__(self, alpha: Arc) -> bool:
-        return alpha in self.arcs
+    def __contains__(self, alpha: Arc) -> bool:  # as `in self.arcs`: only an `Arc` on n points can be in
+        return alpha.__class__ is Arc and alpha.n == self.n and (alpha.a, alpha.b, alpha.mask) in self._keys
 
     def __str__(self) -> str:
-        return ";".join(str(alpha) for alpha in self.sorted_arcs())
+        return ";".join(_arc_text(*spelled) for spelled in sorted(map(_spelled, self._keys)))
 
     def __repr__(self) -> str:
         return f"ArcSet({self.n}, {str(self)!r})"
-
-    @cached_property
-    def _keys(self) -> frozenset[tuple[int, int, int]]:
-        """Each member as its (a, b, mask) key."""
-        return frozenset((alpha.a, alpha.b, alpha.mask) for alpha in self.arcs)
 
     @cached_property
     def subarc_closed(self) -> bool:
@@ -138,9 +152,14 @@ class ArcSet(_Frozen):
                    for a, b, m in keys if b > a + 1)
 
 
+def full_arc_set(n: int) -> ArcSet:
+    """Every arc on n points; the trivial congruence contracting nothing."""
+    return _grown(n, lambda key: True)[0]
+
+
 def all_arcs(n: int) -> list[Arc]:
     """Every arc on n points in canonical order; there are 2^n - n - 1."""
-    return sorted(_grown(n, lambda key: True)[0].arcs, key=arc_key)
+    return list(full_arc_set(n).sorted_arcs())
 
 
 def _right_mask(a: int, b: int, before: int) -> int:
@@ -148,13 +167,13 @@ def _right_mask(a: int, b: int, before: int) -> int:
     return (~before & (1 << b) - (2 << a)) >> (a + 1)
 
 
-def _descent_arcs(x: Permutation) -> Iterator[tuple[int, Arc]]:
-    """(i, arc) per descent i of x in one pass; the arc also labels the cover swapping i and i+1."""
+def _descent_arcs(x: Permutation) -> Iterator[tuple[int, tuple[int, int, int]]]:
+    """(i, key) per descent i of x in one pass; the key's arc also labels the cover swapping i and i+1."""
     e, before = x.entries, 0
     for i in range(1, x.n):
         b, a = e[i - 1], e[i]
         if b > a:
-            yield i, Arc(x.n, a, b, _right_mask(a, b, before))
+            yield i, (a, b, _right_mask(a, b, before))
         before |= 1 << b
 
 
@@ -167,10 +186,10 @@ def arc_from_ji(x: Permutation) -> Arc:
     >>> str(arc_from_ji(Permutation((1, 2, 3, 5, 7, 8, 4, 6, 9))))
     '4-8:LRL'
     """
-    found = [alpha for _, alpha in _descent_arcs(x)]
+    found = [key for _, key in _descent_arcs(x)]
     if len(found) != 1:
         raise ValueError(f"{x} has {len(found)} descents, join-irreducibles have exactly 1")
-    return found[0]
+    return Arc(x.n, *found[0])
 
 
 def ji_from_arc(alpha: Arc) -> Permutation:
@@ -194,9 +213,9 @@ def joinand_at(x: Permutation, i: int) -> Permutation:
     >>> str(joinand_at(Permutation((3, 4, 2, 1)), 3))
     '2134'
     """
-    for j, alpha in _descent_arcs(x):
+    for j, key in _descent_arcs(x):
         if j == i:
-            return ji_from_arc(alpha)
+            return ji_from_arc(Arc(x.n, *key))
     raise ValueError(f"position {i} is not a descent of {x}")
 
 
@@ -206,7 +225,7 @@ def canonical_joinands(x: Permutation) -> frozenset[Permutation]:
     >>> sorted(str(j) for j in canonical_joinands(Permutation((3, 4, 2, 1))))
     ['1342', '2134']
     """
-    return frozenset(ji_from_arc(alpha) for _, alpha in _descent_arcs(x))
+    return frozenset(ji_from_arc(Arc(x.n, *key)) for _, key in _descent_arcs(x))
 
 
 def forces_right_of(first: Arc, second: Arc) -> int | None:
@@ -293,8 +312,8 @@ def subarc_covers(beta: Arc) -> tuple[Arc, ...]:
 def _grown(n: int, keep: Callable[[tuple[int, int, int]], bool]) -> tuple[ArcSet, list[tuple[int, int, int]]]:
     """The arcs on n points whose subarcs all pass `keep`, and the subarc-minimal failures.
 
-    `keep` reads an (a, b, mask) key, and the failures come as keys; only
-    the kept arcs are built.  Grows from the unit arcs, so the work follows
+    `keep` reads an (a, b, mask) key, and the failures come as keys; no
+    `Arc` is built.  Grows from the unit arcs, so the work follows
     the kept arcs: a kept arc from a to b extends to b + 1, with b on
     either side, when its other subarc cover (from a + 1) was kept too.
     """
@@ -314,7 +333,7 @@ def _grown(n: int, keep: Callable[[tuple[int, int, int]], bool]) -> tuple[ArcSet
             for mask in (m, m | 1 << (b - a - 1))
             if (a + 1, b + 1, mask >> 1) in kept
         ]
-    return ArcSet(n, frozenset(Arc(n, *key) for key in kept)), failed
+    return ArcSet._trusted(n, frozenset(kept)), failed
 
 
 def inflections(alpha: Arc) -> int:

@@ -17,9 +17,9 @@ import functools
 import os
 import sys
 
-from .arcs import ArcSet
+from .arcs import ArcSet, full_arc_set
 from .congruences import _walk
-from .counting import VERIFY_MAX_N, count_by_arcs, full_arc_set, verify_report
+from .counting import VERIFY_MAX_N, count_by_arcs, verify_report
 from .diagrams import Diagram, diagram_from_permutation, enumerate_diagrams, permutation_from_diagram
 from .render import export_dot, render_ascii, render_svg
 from .textforms import (

@@ -48,11 +48,6 @@ from .diagrams import enumerate_diagrams
 from .perms import Permutation, positions
 
 
-def full_arc_set(n: int) -> ArcSet:
-    """Every arc on n points; the trivial congruence contracting nothing."""
-    return _grown(n, lambda key: True)[0]
-
-
 def _require_congruence(n: int, arcset: ArcSet) -> None:
     """Raise unless `arcset` lives on n points and is closed under subarcs."""
     if arcset.n != n:

@@ -11,10 +11,9 @@ from __future__ import annotations
 import math
 from functools import lru_cache
 
-from .arcs import ArcSet
+from .arcs import ArcSet, full_arc_set
 from .congruences import (
     _require_congruence,
-    full_arc_set,
     named_congruence,
     uncontracted_by_avoidance,
     uncontracted_permutations,
@@ -180,8 +179,8 @@ def _diagram_key(d) -> int:
     It is exact because no two arcs of a diagram share a lower endpoint.
     """
     n, key = d.n, 0
-    for alpha in d.arcs:
-        key |= (alpha.b << n | alpha.mask) << (2 * n * alpha.a)
+    for a, b, mask in d._keys:
+        key |= (b << n | mask) << (2 * n * a)
     return key
 
 
@@ -232,7 +231,6 @@ def verify_report(n_max: int) -> VerifyReport:
         add("matching-vs-consecutive-321", n, 0, matching_conflicts)
         if n % 2 == 0:
             add("perfect-matching-count", n, ALTERNATING_EVEN[n], perfect)
-        if n % 2 == 0:
             left_perfect = sum(
                 1
                 for face in enumerate_diagrams(n, tamari)

@@ -21,7 +21,7 @@ import math
 from collections import defaultdict
 from typing import Iterable, Iterator, NamedTuple, Sequence
 
-from .arcs import Arc, ArcSet, _descent_arcs, all_arcs, incompatibility_reason
+from .arcs import Arc, ArcSet, _descent_arcs, _spelled, full_arc_set, incompatibility_reason
 from .perms import Permutation, _Frozen
 
 
@@ -36,9 +36,9 @@ def validate_diagram(n: int, arcs: Iterable[Arc]) -> Diagram:
     `_forcing` decide; the first clashing pair in canonical order words
     the error.  Arcs not on n points fail the `ArcSet` size check first.
     """
-    diagram = Diagram(n, frozenset(arcs))
-    ordered = diagram.sorted_arcs()
-    _require_compatible(ordered, _forcing(ordered)[3])
+    diagram = Diagram(n, arcs)
+    ordered = sorted(diagram._keys, key=_spelled)
+    _require_compatible(n, ordered, _forcing(ordered)[3])
     return diagram
 
 
@@ -52,7 +52,7 @@ def diagram_from_permutation(x: Permutation) -> Diagram:
     >>> str(diagram_from_permutation(Permutation((1, 5, 7, 8, 4, 2, 9, 3, 6))))
     '2-4:R;3-9:LLRLL;4-8:LRL'
     """
-    return Diagram(x.n, frozenset([alpha for _, alpha in _descent_arcs(x)]))
+    return Diagram._trusted(x.n, frozenset([key for _, key in _descent_arcs(x)]))
 
 
 class _Component(NamedTuple):
@@ -73,8 +73,8 @@ def _components(diagram: Diagram) -> list[_Component]:
             v = parent[v]
         return v
 
-    for alpha in diagram.arcs:
-        ra, rb = find(alpha.a), find(alpha.b)
+    for a, b, _ in diagram._keys:
+        ra, rb = find(a), find(b)
         if ra != rb:
             parent[rb] = ra
 
@@ -82,10 +82,10 @@ def _components(diagram: Diagram) -> list[_Component]:
     for p in range(1, n + 1):
         members.setdefault(find(p), []).append(p)
     sides = {root: [sum(1 << p for p in pts)] * 2 for root, pts in members.items()}  # leftish, rightish
-    for alpha in diagram.arcs:
-        side = sides[find(alpha.a)]
-        side[0] |= ((1 << (alpha.b - alpha.a - 1)) - 1 ^ alpha.mask) << (alpha.a + 1)
-        side[1] |= alpha.mask << (alpha.a + 1)
+    for a, b, mask in diagram._keys:
+        side = sides[find(a)]
+        side[0] |= ((1 << (b - a - 1)) - 1 ^ mask) << (a + 1)
+        side[1] |= mask << (a + 1)
     return [_Component(tuple(reversed(pts)), pts[0], pts[-1], *sides[root])
             for root, pts in members.items()]
 
@@ -178,8 +178,8 @@ def permutation_from_diagram(diagram: Diagram) -> Permutation:
     return Permutation._trusted(tuple(word))
 
 
-def _forcing(arcs: Sequence[Arc]) -> tuple[dict[int, int], dict[int, int], list[int], list[int]]:
-    """The forcing rule on `arcs`, in canonical order, as masks with bit j for arcs[j].
+def _forcing(keys: Sequence[tuple[int, int, int]]) -> tuple[dict[int, int], dict[int, int], list[int], list[int]]:
+    """The forcing rule on the arcs with these keys, in canonical order, as masks with bit j for keys[j].
 
     Returns, keyed by interior point, the arcs passing it on their left
     and on their right; and per arc, the arcs it is forced right of and the
@@ -193,22 +193,21 @@ def _forcing(arcs: Sequence[Arc]) -> tuple[dict[int, int], dict[int, int], list[
     upper: dict[int, int] = defaultdict(int)  # arcs with p as upper endpoint
     on_left: dict[int, int] = defaultdict(int)  # arcs passing interior point p on their left
     on_right: dict[int, int] = defaultdict(int)
-    for j, alpha in enumerate(arcs):
+    for j, (a, b, mask) in enumerate(keys):
         bit = 1 << j
-        lower[alpha.a] |= bit
-        upper[alpha.b] |= bit
-        for k, p in enumerate(range(alpha.a + 1, alpha.b)):
-            (on_right if alpha.mask >> k & 1 else on_left)[p] |= bit
+        lower[a] |= bit
+        upper[b] |= bit
+        for k, p in enumerate(range(a + 1, b)):
+            (on_right if mask >> k & 1 else on_left)[p] |= bit
 
     right_of = []
     clash = []
-    for i, alpha in enumerate(arcs):
-        a, b = alpha.a, alpha.b
-        # an endpoint of alpha forces only arcs passing it in their interior
+    for i, (a, b, mask) in enumerate(keys):
+        # an endpoint of alpha, the i-th arc, forces only arcs passing it in their interior
         forced_left_of_alpha = on_right[a] | on_right[b]
         forced_right_of_alpha = on_left[a] | on_left[b]
         for k, p in enumerate(range(a + 1, b)):
-            if alpha.mask >> k & 1:
+            if mask >> k & 1:
                 forced_right_of_alpha |= on_left[p] | lower[p] | upper[p]
             else:
                 forced_left_of_alpha |= on_right[p] | lower[p] | upper[p]
@@ -218,30 +217,29 @@ def _forcing(arcs: Sequence[Arc]) -> tuple[dict[int, int], dict[int, int], list[
     return on_left, on_right, right_of, clash
 
 
-def _require_compatible(arcs: Sequence[Arc], clash: list[int]) -> None:
-    """Raise for the first clashing pair i < j of `arcs`, worded by `incompatibility_reason`."""
+def _require_compatible(n: int, keys: Sequence[tuple[int, int, int]], clash: list[int]) -> None:
+    """Raise for the first clashing pair i < j of `keys`, as arcs on n points worded by `incompatibility_reason`."""
     for i, mask in enumerate(clash):
         after = mask >> (i + 1)
         if after:
-            beta = arcs[i + (after & -after).bit_length()]
-            raise ValueError(f"incompatible arcs: {incompatibility_reason(arcs[i], beta)}")
+            alpha, beta = Arc(n, *keys[i]), Arc(n, *keys[i + (after & -after).bit_length()])
+            raise ValueError(f"incompatible arcs: {incompatibility_reason(alpha, beta)}")
 
 
-def _compat_graph(n: int, arcset: ArcSet | None) -> tuple[list[Arc], list[int]]:
-    """The arcs of `arcset` (all when None) in canonical order and their compatibility graph.
+def _compat_graph(n: int, arcset: ArcSet | None) -> tuple[list[tuple[int, int, int]], list[int]]:
+    """The keys of `arcset` (all arcs when None) in canonical order and their compatibility graph.
 
     Bit j of the i-th mask is set when j > i and arcs i and j do not
     clash, so each compatible pair is recorded once.
     """
     if arcset is None:
-        arcs = all_arcs(n)
+        arcset = full_arc_set(n)
     elif arcset.n != n:
         raise ValueError(f"arc set lives on {arcset.n} points, not {n}")
-    else:
-        arcs = list(arcset.sorted_arcs())
-    everything = (1 << len(arcs)) - 1
-    clash = _forcing(arcs)[3]
-    return arcs, [everything & ~c & ~((2 << i) - 1) for i, c in enumerate(clash)]
+    keys = sorted(arcset._keys, key=_spelled)
+    everything = (1 << len(keys)) - 1
+    clash = _forcing(keys)[3]
+    return keys, [everything & ~c & ~((2 << i) - 1) for i, c in enumerate(clash)]
 
 
 def enumerate_diagrams(n: int, arcset: ArcSet | None = None) -> Iterator[Diagram]:
@@ -251,20 +249,20 @@ def enumerate_diagrams(n: int, arcset: ArcSet | None = None) -> Iterator[Diagram
     at the first incompatible pair, so every emitted set is valid and
     every valid set is emitted exactly once.
     """
-    arcs, later = _compat_graph(n, arcset)
-    chosen: list[Arc] = []
+    keys, later = _compat_graph(n, arcset)
+    chosen: list[tuple[int, int, int]] = []
 
     def walk(allowed: int) -> Iterator[Diagram]:
-        yield Diagram(n, frozenset(chosen))
+        yield Diagram._trusted(n, frozenset(chosen))
         m = allowed
         while m:
             i = (m & -m).bit_length() - 1
             m &= m - 1
-            chosen.append(arcs[i])
+            chosen.append(keys[i])
             yield from walk(allowed & later[i])
             chosen.pop()
 
-    yield from walk((1 << len(arcs)) - 1)
+    yield from walk((1 << len(keys)) - 1)
 
 
 def count_diagrams(n: int, arcset: ArcSet | None = None) -> tuple[int, ...]:
@@ -287,16 +285,16 @@ def count_diagrams(n: int, arcset: ArcSet | None = None) -> tuple[int, ...]:
 
     >>> count_diagrams(4)
     (1, 11, 11, 1)
-    >>> left_arcs = ArcSet(4, frozenset(alpha for alpha in all_arcs(4) if not alpha.mask))
+    >>> left_arcs = ArcSet(4, (alpha for alpha in full_arc_set(4).arcs if not alpha.mask))
     >>> count_diagrams(4, left_arcs)
     (1, 6, 6, 1)
     """
-    arcs, later = _compat_graph(n, arcset)
+    keys, later = _compat_graph(n, arcset)
     # Each count is a polynomial in x packed into one int, with a slot of
     # `width` bits per coefficient.  No coefficient exceeds the n! diagrams
     # on n points, so sums never carry from one slot into the next.
     width = math.factorial(n).bit_length()
-    packed = _count_cliques((1 << len(arcs)) - 1, later, width, {0: 1})
+    packed = _count_cliques((1 << len(keys)) - 1, later, width, {0: 1})
     slot = (1 << width) - 1
     return tuple((packed >> (k * width)) & slot for k in range(max(n, 1)))
 
@@ -336,7 +334,7 @@ def classify_diagram(diagram: Diagram) -> DiagramClass:
     >>> classify_diagram(d)
     DiagramClass(is_matching=True, is_perfect_matching=True)
     """
-    endpoints = [p for alpha in diagram.arcs for p in (alpha.a, alpha.b)]
+    endpoints = [p for a, b, _ in diagram._keys for p in (a, b)]
     is_matching = len(endpoints) == len(set(endpoints))
     return DiagramClass(
         is_matching=is_matching,

@@ -194,20 +194,20 @@ def is_join_irreducible(x: Permutation) -> bool:
 
 def upper_covers(x: Permutation) -> frozenset[Permutation]:
     """Permutations obtained by swapping an ascent x_i < x_{i+1}."""
-    out = []
-    e = x.entries
-    for i in range(x.n - 1):
-        if e[i] < e[i + 1]:
-            out.append(Permutation._trusted(e[:i] + (e[i + 1], e[i]) + e[i + 2 :]))
-    return frozenset(out)
+    return _swapped(x, down=False)
 
 
 def lower_covers(x: Permutation) -> frozenset[Permutation]:
     """Permutations obtained by swapping a descent x_i > x_{i+1}."""
+    return _swapped(x, down=True)
+
+
+def _swapped(x: Permutation, down: bool) -> frozenset[Permutation]:
+    """x with one descent (ascent when not `down`) swapped, for each one."""
     out = []
     e = x.entries
     for i in range(x.n - 1):
-        if e[i] > e[i + 1]:
+        if (e[i] > e[i + 1]) == down:
             out.append(Permutation._trusted(e[:i] + (e[i + 1], e[i]) + e[i + 2 :]))
     return frozenset(out)
 

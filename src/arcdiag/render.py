@@ -12,7 +12,7 @@ the error of `validate_diagram`.  Output depends only on the input values.
 """
 from __future__ import annotations
 
-from .arcs import Arc, ArcSet, arc_key, all_arcs, subarc_covers
+from .arcs import Arc, ArcSet, _spelled, arc_key, all_arcs, subarc_covers
 from .congruences import _cover_bottoms, uncontracted_permutations
 from .diagrams import Diagram, _forcing, _require_compatible
 from .perms import all_permutations, upper_covers
@@ -26,18 +26,18 @@ COL_WIDTH = 2  # ascii columns per offset unit
 
 
 def arc_offsets(diagram: Diagram) -> dict[Arc, dict[int, int]]:
-    """Unit offsets per arc and height; endpoints sit on the axis at 0.
+    """Unit offsets per arc and height, arcs in canonical order; endpoints sit on the axis at 0.
 
     Incompatible arcs raise the error of `validate_diagram`.
     """
-    arcs = diagram.sorted_arcs()
-    on_left, on_right, right_of, clash = _forcing(arcs)
-    _require_compatible(arcs, clash)
+    keys = sorted(diagram._keys, key=_spelled)
+    on_left, on_right, right_of, clash = _forcing(keys)
+    _require_compatible(diagram.n, keys, clash)
     offsets: dict[Arc, dict[int, int]] = {}
-    for alpha, left_of_alpha in zip(arcs, right_of):
-        per = offsets[alpha] = {alpha.a: 0, alpha.b: 0}
-        for i, p in enumerate(range(alpha.a + 1, alpha.b)):
-            if alpha.mask >> i & 1:
+    for (a, b, mask), left_of_alpha in zip(keys, right_of):
+        per = offsets[Arc(diagram.n, a, b, mask)] = {a: 0, b: 0}
+        for i, p in enumerate(range(a + 1, b)):
+            if mask >> i & 1:
                 per[p] = (left_of_alpha & on_right[p]).bit_count() - on_right[p].bit_count()
             else:
                 per[p] = (left_of_alpha & on_left[p]).bit_count() + 1
@@ -70,8 +70,7 @@ def render_ascii(diagram: Diagram) -> str:
     def row_of(h: int) -> int:
         return 2 * (n - h)
 
-    for alpha in diagram.sorted_arcs():
-        per = offsets[alpha]
+    for alpha, per in offsets.items():
         for h in range(alpha.a + 1, alpha.b):
             grid[row_of(h)][center + COL_WIDTH * per[h]] = "|"
         for h in range(alpha.a, alpha.b):
@@ -118,11 +117,9 @@ def render_svg(diagram: Diagram) -> str:
         f'<svg xmlns="http://www.w3.org/2000/svg" width="{width}" height="{height}" '
         f'viewBox="0 0 {width} {height}">'
     ]
-    arcs = diagram.sorted_arcs()
-    if arcs:
+    if offsets:
         lines.append(f'<g fill="none" stroke="black" stroke-width="{STROKE_WIDTH}">')
-        for alpha in arcs:
-            per = offsets[alpha]
+        for alpha, per in offsets.items():
             points = [(cx + UNIT * per[h], y(h)) for h in range(alpha.a, alpha.b + 1)]
             parts = [f"M {points[0][0]} {points[0][1]}"]
             for (x0, y0), (x1, y1) in zip(points, points[1:]):

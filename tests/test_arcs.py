@@ -6,6 +6,7 @@ from hypothesis import strategies as st
 
 from arcdiag import (
     Arc,
+    ArcSet,
     Permutation,
     all_arcs,
     all_permutations,
@@ -22,7 +23,7 @@ from arcdiag import (
     make_arc,
     subarc_covers,
 )
-from arcdiag.arcs import side_mask, side_string
+from arcdiag.arcs import _spelled, side_mask, side_string
 
 
 def arcs_st(n):
@@ -241,3 +242,36 @@ def test_arc_relations_sampled(pair):
     both = forces_right_of(alpha, beta), forces_right_of(beta, alpha)
     if alpha != beta and None not in both:
         assert not compatible(alpha, beta)
+
+
+def every_arc(n):
+    """Each arc on n points, built straight from its (a, b, mask), in no particular order."""
+    return [Arc(n, a, b, mask) for b in range(n, 1, -1) for a in range(1, b) for mask in range(1 << (b - a - 1))]
+
+
+@pytest.mark.parametrize("n", range(1, 11))
+def test_sorted_keys_give_the_canonical_order(n):
+    arcs = every_arc(n)
+    spelled = {
+        alpha: "".join("R" if p in alpha.right else "L" for p in range(alpha.a + 1, alpha.b)) for alpha in arcs
+    }
+    canonical = sorted(arcs, key=lambda alpha: (alpha.a, alpha.b, spelled[alpha]))
+    assert sorted(arcs, key=arc_key) == canonical
+    keys = [(alpha.a, alpha.b, alpha.mask) for alpha in arcs]
+    assert [Arc(n, *key) for key in sorted(keys, key=_spelled)] == canonical
+    arcset = ArcSet(n, arcs)
+    assert list(arcset.sorted_arcs()) == canonical == all_arcs(n)
+    assert str(arcset) == ";".join(str(alpha) for alpha in canonical)
+    for alpha in arcs:
+        sides = spelled[alpha]
+        assert str(alpha) == (f"{alpha.a}-{alpha.b}:{sides}" if sides else f"{alpha.a}-{alpha.b}")
+
+
+def test_membership_needs_an_arc_on_the_same_n():
+    arcset = ArcSet(5, [make_arc(5, 1, 4, {2}), make_arc(5, 2, 3)])
+    assert make_arc(5, 1, 4, {2}) in arcset and make_arc(5, 2, 3) in arcset
+    for m in (4, 6, 9):
+        assert Arc(m, 1, 4, 1) not in arcset and Arc(m, 2, 3, 0) not in arcset
+    assert Arc(5, 1, 4, 2) not in arcset
+    # the key alone, or anything else that is not an arc, is not a member either
+    assert (1, 4, 1) not in arcset and (2, 3, 0) not in arcset and "2-3" not in arcset

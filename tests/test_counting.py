@@ -7,6 +7,7 @@ from pathlib import Path
 import pytest
 
 from arcdiag import (
+    Arc,
     ArcSet,
     all_arcs,
     all_permutations,
@@ -274,7 +275,8 @@ def test_suffix_stop_memoizes_the_summed_states(monkeypatch, n, spec):
 
 @pytest.mark.parametrize("n", range(1, 9))
 def test_mask_graph_matches_pairwise_compatible(n):
-    arcs, later = _compat_graph(n, None)
+    keys, later = _compat_graph(n, None)
+    arcs = [Arc(n, *key) for key in keys]
     assert arcs == all_arcs(n)
     for i, j in itertools.product(range(len(arcs)), repeat=2):
         expected = i < j and compatible(arcs[i], arcs[j])
@@ -328,6 +330,6 @@ def test_counts_past_listing_sizes():
 
 def test_counting_a_given_set_builds_no_other_arcs(monkeypatch):
     u = named_congruence(6, "tamari")
-    monkeypatch.setattr("arcdiag.diagrams.all_arcs", lambda n: pytest.fail("all_arcs rebuilt"))
+    monkeypatch.setattr("arcdiag.diagrams.full_arc_set", lambda n: pytest.fail("all arcs rebuilt"))
     assert count_by_arcs(6, u).total == catalan(6)
     assert sum(1 for _ in enumerate_diagrams(6, u)) == catalan(6)

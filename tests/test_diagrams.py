@@ -44,7 +44,7 @@ def test_delta_worked_example():
     assert body(diagram_from_permutation(P("157842936"))) == "2-4:R;3-9:LLRLL;4-8:LRL"
 
 
-@pytest.mark.parametrize("n", range(1, 8))
+@pytest.mark.parametrize("n", range(1, 9))
 def test_delta_is_the_canonical_join_representation(n):
     # the paper's link: the arcs of x are the arcs of its canonical joinands
     for x in all_permutations(n):

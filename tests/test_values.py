@@ -13,9 +13,13 @@ from arcdiag import (
     InversionSet,
     Permutation,
     VerifyReport,
+    all_permutations,
+    diagram_from_permutation,
+    enumerate_diagrams,
     make_arc,
+    named_congruence,
 )
-from arcdiag.arcs import side_string
+from arcdiag.arcs import _grown, side_string
 
 CHECK = CheckResult("catalan", 3, 5, 5, True)
 
@@ -24,23 +28,31 @@ VALUES = [
     (Permutation((2, 5, 3, 1, 4)), ("entries",)),
     (InversionSet(3, frozenset({(3, 1), (2, 1)})), ("n", "pairs")),
     (make_arc(9, 4, 8, {6}), ("n", "a", "b", "mask")),
-    (ArcSet(4, frozenset({make_arc(4, 1, 4, {2}), make_arc(4, 2, 3)})), ("n", "arcs")),
+    (ArcSet(4, frozenset({make_arc(4, 1, 4, {2}), make_arc(4, 2, 3)})), ("n", "_keys")),
     (DiagramClass(True, False), ("is_matching", "is_perfect_matching")),
     (CountTable(3, (1, 4, 1)), ("n", "counts")),
     (CHECK, ("name", "n", "expected", "observed", "passed")),
     (VerifyReport(3, (CHECK,)), ("n_max", "results")),
 ]
 IDS = [type(value).__name__ for value, _ in VALUES]
+# an ArcSet stores its arcs as keys but is built from the arcs themselves
+ARGUMENTS = {ArcSet: ("n", "arcs")}
 
 
 def fields_of(value, names):
     return tuple(getattr(value, name) for name in names)
 
 
+def arguments_of(value, names):
+    """The constructor's argument names and values: the fields, unless `ARGUMENTS` names others."""
+    names = ARGUMENTS.get(type(value), names)
+    return names, fields_of(value, names)
+
+
 @pytest.mark.parametrize("value, names", VALUES, ids=IDS)
 def test_equal_and_hashed_as_the_field_tuple(value, names):
     fields = fields_of(value, names)
-    twin = type(value)(*fields)
+    twin = type(value)(*arguments_of(value, names)[1])
     assert twin == value and twin is not value
     assert hash(value) == hash(fields)
     # a plain tuple of the same fields is not the value
@@ -60,7 +72,7 @@ def test_equality_defers_to_other_classes(value, names):
 
 @pytest.mark.parametrize("value, names", VALUES, ids=IDS)
 def test_built_from_keywords(value, names):
-    assert type(value)(**dict(zip(names, fields_of(value, names)))) == value
+    assert type(value)(**dict(zip(*arguments_of(value, names)))) == value
 
 
 @pytest.mark.parametrize("value, names", VALUES, ids=IDS)
@@ -119,3 +131,23 @@ def test_record_reprs_name_their_fields():
 def test_inversion_pairs_are_checked():
     with pytest.raises(ValueError, match=r"bad inversion pair \(1, 2\) for n=2"):
         InversionSet(n=2, pairs={(1, 2)})
+
+
+def test_sets_built_from_keys_match_the_public_constructor():
+    # the grower, the forward map and the listing build their sets from keys, without arcs
+    built = [
+        _grown(5, lambda key: True)[0],
+        _grown(5, lambda key: key[1] - key[0] < 3)[0],
+        named_congruence(6, "tamari"),
+        *(diagram_from_permutation(x) for x in all_permutations(5)),
+        *enumerate_diagrams(5),
+    ]
+    for arcset in built:
+        public = ArcSet(arcset.n, frozenset(arcset.arcs))
+        assert arcset == public and public == arcset and hash(arcset) == hash(public)
+        assert str(arcset) == str(public) and arcset.sorted_arcs() == public.sorted_arcs()
+        for copied in (pickle.loads(pickle.dumps(arcset)), copy.deepcopy(arcset), copy.copy(arcset)):
+            assert type(copied) is ArcSet
+            assert copied == public and hash(copied) == hash(public) and repr(copied) == repr(public)
+            assert copied.arcs == public.arcs and copied.subarc_closed == public.subarc_closed
+    assert len({*built}) == len({ArcSet(s.n, s.arcs) for s in built})
