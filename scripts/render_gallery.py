@@ -13,23 +13,21 @@ import html
 from pathlib import Path
 
 from arcdiag import (
-    enumerate_diagrams,
+    diagram_from_permutation,
     format_diagram_body,
     format_permutation,
-    permutation_from_diagram,
+    full_arc_set,
     render_ascii,
     render_svg,
+    uncontracted_permutations,
 )
 from arcdiag.textforms import parse_congruence_spec
 
 
 def run(n: int, out: Path, congruence: str | None, ascii_mode: bool) -> None:
-    arcset = parse_congruence_spec(congruence, n) if congruence else None
-    drawn = sorted(
-        ((permutation_from_diagram(d), d) for d in enumerate_diagrams(n, arcset)),
-        key=lambda pair: pair[0].entries,
-    )
-    pairs = [(format_permutation(x), d) for x, d in drawn]
+    # the permutations whose diagrams lie in the congruence's arcs, in lexicographic order
+    arcset = parse_congruence_spec(congruence, n) if congruence else full_arc_set(n)
+    pairs = [(format_permutation(x), diagram_from_permutation(x)) for x in uncontracted_permutations(n, arcset)]
     if ascii_mode:
         for word, d in pairs:
             print(f"{word}  {format_diagram_body(d)}")

@@ -12,10 +12,10 @@ the error of `validate_diagram`.  Output depends only on the input values.
 """
 from __future__ import annotations
 
-from .arcs import Arc, ArcSet, _spelled, arc_key, all_arcs, subarc_covers
+from .arcs import Arc, ArcSet, _spelled, all_arcs, full_arc_set, subarc_covers
 from .congruences import _cover_bottoms, uncontracted_permutations
 from .diagrams import Diagram, _forcing, _require_compatible
-from .perms import all_permutations, upper_covers
+from .perms import Permutation
 
 SPACING = 40  # vertical px between points
 UNIT = 22  # horizontal px per offset unit
@@ -132,47 +132,42 @@ def render_svg(diagram: Diagram) -> str:
     return "\n".join(lines)
 
 
+def _dot(graph: str, covers: dict) -> str:
+    """DOT text of a Hasse diagram: each node, in order, maps to its upper covers in order."""
+    names = {x: str(x) for x in covers}  # every cover end is a node
+    lines = [f"digraph {graph} {{", "  rankdir=BT;"]
+    lines.extend(f'  "{name}";' for name in names.values())
+    lines.extend(f'  "{name}" -> "{names[y]}";' for name, ups in zip(names.values(), covers.values()) for y in ups)
+    lines.append("}")
+    return "\n".join(lines)
+
+
 def export_dot(kind: str, n: int, arcset: ArcSet | None = None) -> str:
     """DOT text for the forcing order on arcs or the weak order Hasse diagram.
 
     `kind` is "forcing" or "weak"; for "weak" an ArcSet restricts the
     nodes to the uncontracted permutations of that congruence, giving
-    the quotient as an induced subposet.
+    the quotient as an induced subposet; without one, the quotient by the
+    congruence contracting nothing.  Nodes, and each node's upper covers,
+    come in canonical (lexicographic) order, with no sort.
     """
-    lines: list[str]
     if kind == "forcing":
         if arcset is not None:
             raise ValueError("the forcing export does not take a congruence")
-        arcs = all_arcs(n)
-        lines = ["digraph forcing {", "  rankdir=BT;"]
-        lines.extend(f'  "{alpha}";' for alpha in arcs)
-        covers = sorted(
-            ((alpha, beta) for beta in arcs for alpha in subarc_covers(beta)),
-            key=lambda e: (arc_key(e[0]), arc_key(e[1])),
-        )
-        lines.extend(f'  "{alpha}" -> "{beta}";' for alpha, beta in covers)
-    elif kind == "weak":
-        if arcset is None:
-            elements = list(all_permutations(n))
-            covers = [
-                (x, y)
-                for x in elements
-                for y in sorted(upper_covers(x), key=lambda p: p.entries)
-            ]
-        else:
-            # every descent of a class bottom y is uncontracted, and the classes
-            # that y's class covers are those of y's lower covers, all distinct
-            elements = list(uncontracted_permutations(n, arcset))
-            keep = arcset._keys.__contains__
-            covers = sorted(
-                ((x, y) for y in elements for x in _cover_bottoms(y, keep)),
-                key=lambda e: (e[0].entries, e[1].entries),
-            )
-        names = {x: str(x) for x in elements}  # every cover end is an element
-        lines = ["digraph weak_order {", "  rankdir=BT;"]
-        lines.extend(f'  "{name}";' for name in names.values())
-        lines.extend(f'  "{names[x]}" -> "{names[y]}";' for x, y in covers)
-    else:
-        raise ValueError(f"unknown export kind {kind!r}")
-    lines.append("}")
-    return "\n".join(lines)
+        covers: dict[Arc, list[Arc]] = {alpha: [] for alpha in all_arcs(n)}
+        for beta in covers:
+            for alpha in subarc_covers(beta):
+                covers[alpha].append(beta)
+        return _dot("forcing", covers)
+    if kind == "weak":
+        arcset = full_arc_set(n) if arcset is None else arcset
+        # every descent of a class bottom y is uncontracted, and the classes
+        # that y's class covers are those of y's lower covers, all distinct
+        keep = arcset._keys.__contains__
+        above: dict[Permutation, list[Permutation]] = {y: [] for y in uncontracted_permutations(n, arcset)}
+        ups_of = {y.entries: ups for y, ups in above.items()}  # a word hashes in C, a permutation in Python
+        for y in above:
+            for x in _cover_bottoms(y, keep):
+                ups_of[x.entries].append(y)
+        return _dot("weak_order", above)
+    raise ValueError(f"unknown export kind {kind!r}")

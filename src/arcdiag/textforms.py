@@ -145,8 +145,9 @@ def parse_diagram(text: str) -> Diagram:
     body = lines[1] if len(lines) > 1 else ""
     offset = len(lines[0]) + 1
     for k, extra in enumerate(lines[2:]):
-        if extra:  # the k lines before it are empty
-            raise ParseError("unexpected extra line", offset + len(body) + 1 + k)
+        if extra:  # the k lines before it are empty; the unchecked body may hold non-ASCII,
+            # and an undecodable input byte, read as a lone surrogate, counts as one byte
+            raise ParseError("unexpected extra line", offset + len(body.encode("utf-8", "replace")) + 1 + k)
     return parse_diagram_body(body, n, offset)
 
 

@@ -21,6 +21,7 @@ from arcdiag import (
     inversions,
     is_subarc,
     all_arcs,
+    arc_key,
     make_arc,
     named_congruence,
     parse_diagram,
@@ -28,6 +29,7 @@ from arcdiag import (
     project_up,
     render_ascii,
     render_svg,
+    subarc_covers,
     uncontracted_permutations,
     upper_covers,
     validate_diagram,
@@ -236,6 +238,41 @@ def test_export_forcing_n2_trivial():
     dot = export_dot("forcing", 2)
     assert re.findall(r'^  "([^"]+)";$', dot, re.M) == ["1-2"]
     assert "->" not in dot
+
+
+def pair_sort_forcing_dot(n):
+    """The forcing export by its former route: every (subarc cover, arc) pair, sorted afterwards."""
+    arcs = all_arcs(n)
+    covers = sorted(
+        ((alpha, beta) for beta in arcs for alpha in subarc_covers(beta)),
+        key=lambda e: (arc_key(e[0]), arc_key(e[1])),
+    )
+    expected = ["digraph forcing {", "  rankdir=BT;"]
+    expected += [f'  "{alpha}";' for alpha in arcs]
+    expected += [f'  "{alpha}" -> "{beta}";' for alpha, beta in covers]
+    expected.append("}")
+    return "\n".join(expected)
+
+
+@pytest.mark.parametrize("n", range(0, 9))
+def test_export_forcing_matches_pair_sort_route(n):
+    assert export_dot("forcing", n) == pair_sort_forcing_dot(n)
+
+
+def scan_sn_weak_dot(n):
+    """The full weak-order export by its former route: S_n, each element's upper covers sorted."""
+    elements = list(all_permutations(n))
+    covers = [(x, y) for x in elements for y in sorted(upper_covers(x), key=lambda p: p.entries)]
+    expected = ["digraph weak_order {", "  rankdir=BT;"]
+    expected += [f'  "{x}";' for x in elements]
+    expected += [f'  "{x}" -> "{y}";' for x, y in covers]
+    expected.append("}")
+    return "\n".join(expected)
+
+
+@pytest.mark.parametrize("n", range(0, 8))
+def test_export_weak_matches_sn_scan(n):
+    assert export_dot("weak", n) == scan_sn_weak_dot(n)
 
 
 def test_export_weak_n3():

@@ -111,6 +111,8 @@ def test_diagram_errors_carry_offsets():
         ("n=3\n1-2\n\nx", 9),
         ("n=3\n1-2\n\n\n  y", 10),
         ("n=3\n\n\nx", 6),
+        ("n=3\n1-\u00e9\nx", 9),  # é is two bytes in UTF-8
+        ("n=3\n1-\udc80\nx", 8),  # one undecodable byte, as read under surrogateescape
     ],
 )
 def test_extra_line_offset_is_its_first_character(text, offset):
@@ -240,7 +242,7 @@ def parses_or_reports_offset(parse, text):
     try:
         parse(text)
     except ParseError as exc:
-        assert 0 <= exc.offset <= len(text), (text, exc.offset)
+        assert 0 <= exc.offset <= len(text.encode("utf-8", "replace")), (text, exc.offset)
 
 
 def any_text(alphabet, max_size=24):

@@ -95,22 +95,19 @@ def test_pickle_and_deepcopy_round_trip(value, names):
 
 
 def test_round_trips_after_the_caches_fill():
-    alpha = make_arc(9, 4, 8, {6})
-    side_string(alpha)
-    arcs = ArcSet(4, frozenset({make_arc(4, 1, 4, {2}), make_arc(4, 2, 3)}))
-    assert arcs.subarc_closed is False
-    for copied in (pickle.loads(pickle.dumps(alpha)), copy.deepcopy(alpha)):
-        assert copied == alpha and side_string(copied) == "LRL"
-    for copied in (pickle.loads(pickle.dumps(arcs)), copy.deepcopy(arcs)):
-        assert copied == arcs and copied.subarc_closed is False
+    # an ArcSet caches `subarc_closed` and its `arcs` view; a copy is equal and answers the same
+    for arcs, closed in [(ArcSet(4, frozenset({make_arc(4, 1, 4, {2}), make_arc(4, 2, 3)})), False),
+                         (named_congruence(5, "tamari"), True)]:
+        assert arcs.subarc_closed is closed and arcs.arcs
+        for copied in (pickle.loads(pickle.dumps(arcs)), copy.deepcopy(arcs), copy.copy(arcs)):
+            assert copied == arcs and copied.subarc_closed is closed and copied.arcs == arcs.arcs
 
 
-def test_side_string_cache_is_outside_eq_hash_and_repr():
-    fresh, cached = Arc(9, 4, 8, 2), Arc(9, 4, 8, 2)
-    assert side_string(cached) == "LRL"
-    assert fresh == cached and cached == fresh
-    assert hash(fresh) == hash(cached) == hash((9, 4, 8, 2))
-    assert repr(fresh) == repr(cached) == "Arc(9, '4-8:LRL')"
+def test_arc_repr_spells_its_sides():
+    alpha = Arc(9, 4, 8, 2)
+    assert side_string(alpha) == "LRL"
+    assert alpha == Arc(9, 4, 8, 2) and hash(alpha) == hash((9, 4, 8, 2))
+    assert repr(alpha) == "Arc(9, '4-8:LRL')"
 
 
 def test_named_hash_contracts():
