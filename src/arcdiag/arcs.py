@@ -148,8 +148,7 @@ class ArcSet(_Frozen):
     @cached_property
     def subarc_closed(self) -> bool:
         keys = self._keys
-        return all((a, b - 1, m & ~(1 << (b - a - 2))) in keys and (a + 1, b, m >> 1) in keys
-                   for a, b, m in keys if b > a + 1)
+        return all(cover in keys for key in keys for cover in _subarc_cover_keys(*key))
 
 
 def full_arc_set(n: int) -> ArcSet:
@@ -301,12 +300,12 @@ def subarc_covers(beta: Arc) -> tuple[Arc, ...]:
     >>> [str(alpha) for alpha in subarc_covers(make_arc(9, 4, 8, {6}))]
     ['4-7:LR', '5-8:RL']
     """
-    if beta.b == beta.a + 1:
-        return ()
-    return (
-        Arc(beta.n, beta.a, beta.b - 1, beta.mask & ~(1 << (beta.b - beta.a - 2))),
-        Arc(beta.n, beta.a + 1, beta.b, beta.mask >> 1),
-    )
+    return tuple(Arc(beta.n, *key) for key in _subarc_cover_keys(beta.a, beta.b, beta.mask))
+
+
+def _subarc_cover_keys(a: int, b: int, mask: int) -> tuple[tuple[int, int, int], ...]:
+    """The keys of `subarc_covers`: drop the top point, or drop the bottom point and shift the mask."""
+    return ((a, b - 1, mask & ~(1 << (b - a - 2))), (a + 1, b, mask >> 1)) if b > a + 1 else ()
 
 
 def _grown(n: int, keep: Callable[[tuple[int, int, int]], bool]) -> tuple[ArcSet, list[tuple[int, int, int]]]:

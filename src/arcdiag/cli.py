@@ -8,7 +8,7 @@ with n, and `project` walks with its congruence's key rule, building
 no arc set.  The commands whose work grows with all arcs or all of S_n
 (`enumerate`, `complex`, `export`, `verify`) refuse sizes above the cap
 in ARCDIAG_MAX_N (default 9) up front; `verify` stops at VERIFY_MAX_N
-(8) below that.
+(8) below that.  Integer flags, like ARCDIAG_MAX_N, take ASCII digits only.
 """
 from __future__ import annotations
 
@@ -24,6 +24,7 @@ from .diagrams import Diagram, diagram_from_permutation, enumerate_diagrams, per
 from .render import export_dot, render_ascii, render_svg
 from .textforms import (
     _spec_rule,
+    _whole_int,
     format_diagram,
     format_diagram_body,
     format_permutation,
@@ -36,14 +37,19 @@ from .textforms import (
 DEFAULT_MAX_N = 9
 
 
+def _ascii_int(raw: str) -> int:
+    """A whole number in ASCII digits, as every parser reads one: int() also takes "1_0", "+3", " 3 " and "٣"."""
+    try:
+        return _whole_int(raw, "expected a whole number in ASCII digits")
+    except ValueError as exc:  # argparse prints this error's message, where it would echo all of `raw`
+        raise argparse.ArgumentTypeError(str(exc)) from None
+
+
 def _max_n() -> int:
     raw = os.environ.get("ARCDIAG_MAX_N", "").strip()
-    if not raw:
-        return DEFAULT_MAX_N
-    # ASCII digits only, as in every parser: int() also takes "1_0", "-1" and "٣"
     try:
-        limit = int(raw) if raw.isascii() and raw.isdigit() else 0
-    except ValueError:  # more digits than sys.get_int_max_str_digits()
+        limit = _ascii_int(raw) if raw else DEFAULT_MAX_N
+    except argparse.ArgumentTypeError:
         limit = 0
     if limit < 1:
         shown = raw if len(raw) <= 40 else f"{raw[:20]}...{raw[-10:]}"
@@ -127,22 +133,16 @@ def _cmd_project(args: argparse.Namespace) -> int:
 
 def _cmd_render(args: argparse.Namespace) -> int:
     diagram = _read_diagram(args)
-    if args.svg:
-        print(render_svg(diagram))
-    else:
-        print(render_ascii(diagram))
+    print(render_svg(diagram) if args.svg else render_ascii(diagram))
     return 0
 
 
 def _cmd_export(args: argparse.Namespace) -> int:
     n = _check_n(args.n)
-    kind = "forcing" if args.forcing else "weak"
-    arcset = None
-    if args.congruence is not None:
-        if kind == "forcing":
-            raise ValueError("--congruence only applies to --weak")
-        arcset = parse_congruence_spec(args.congruence, n)
-    print(export_dot(kind, n, arcset))
+    if args.forcing and args.congruence is not None:
+        raise ValueError("--congruence only applies to --weak")
+    arcset = None if args.congruence is None else parse_congruence_spec(args.congruence, n)
+    print(export_dot("forcing" if args.forcing else "weak", n, arcset))
     return 0
 
 
@@ -176,11 +176,11 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("inverse", help="map an arc diagram back to its permutation")
     p.add_argument("diagram", nargs="?", default=None, help="diagram body; omit to read the n=... form from stdin")
-    p.add_argument("--n", type=int, default=None, help="number of points for a bare body")
+    p.add_argument("--n", type=_ascii_int, default=None, help="number of points for a bare body")
     p.set_defaults(handler=_cmd_inverse)
 
     p = sub.add_parser("enumerate", help="list all diagrams, optionally inside a congruence")
-    p.add_argument("--n", type=int, required=True)
+    p.add_argument("--n", type=_ascii_int, required=True)
     p.add_argument("--congruence", default=None, help="tamari | baxter | cambrian:<dirs> | clumped:<k> | maxlen:<k>")
     p.add_argument("--by-arcs", action="store_true", help="print counts per arc number instead of diagrams")
     p.set_defaults(handler=_cmd_enumerate)
@@ -188,19 +188,19 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("project", help="project a permutation down to its class bottom")
     p.add_argument("perm")
     p.add_argument("--congruence", required=True)
-    p.add_argument("--n", type=int, default=None, help="optional size cross-check")
+    p.add_argument("--n", type=_ascii_int, default=None, help="optional size cross-check")
     p.set_defaults(handler=_cmd_project)
 
     p = sub.add_parser("render", help="draw a diagram")
     p.add_argument("diagram", nargs="?", default=None)
-    p.add_argument("--n", type=int, default=None)
+    p.add_argument("--n", type=_ascii_int, default=None)
     mode = p.add_mutually_exclusive_group(required=True)
     mode.add_argument("--ascii", action="store_true")
     mode.add_argument("--svg", action="store_true")
     p.set_defaults(handler=_cmd_render)
 
     p = sub.add_parser("export", help="emit DOT for the forcing order or the weak order")
-    p.add_argument("--n", type=int, required=True)
+    p.add_argument("--n", type=_ascii_int, required=True)
     kind = p.add_mutually_exclusive_group(required=True)
     kind.add_argument("--forcing", action="store_true")
     kind.add_argument("--weak", action="store_true")
@@ -208,12 +208,12 @@ def _build_parser() -> argparse.ArgumentParser:
     p.set_defaults(handler=_cmd_export)
 
     p = sub.add_parser("complex", help="list the faces of an arc complex")
-    p.add_argument("--n", type=int, required=True)
+    p.add_argument("--n", type=_ascii_int, required=True)
     p.add_argument("--congruence", default=None)
     p.set_defaults(handler=_cmd_complex)
 
     p = sub.add_parser("verify", help="recompute the headline counts and compare")
-    p.add_argument("--n-max", type=int, default=6)
+    p.add_argument("--n-max", type=_ascii_int, default=6)
     p.add_argument("--json", action="store_true")
     p.set_defaults(handler=_cmd_verify)
 

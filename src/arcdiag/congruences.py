@@ -18,6 +18,8 @@ that is, whether its forbidden descent pattern (see `has_pattern`) occurs.
 The last few values are placed through a second memo: their kept orders
 depend only on the last placed value and the unplaced set, so each such
 pair's orders are built once and appended to every prefix ending so.
+`_prefix_walk` and `_cover_bottoms` yield plain words (tuples); a
+`Permutation` is built only where one is returned.
 
 A congruence contracts the weak-order cover that swaps a descent of x
 exactly when it contracts that descent's arc, the cover's label.  Walks
@@ -48,12 +50,13 @@ from .diagrams import enumerate_diagrams
 from .perms import Permutation, positions
 
 
-def _require_congruence(n: int, arcset: ArcSet) -> None:
-    """Raise unless `arcset` lives on n points and is closed under subarcs."""
+def _require_congruence(n: int, arcset: ArcSet) -> Callable[[tuple[int, int, int]], bool]:
+    """Raise unless `arcset` lives on n points and is closed under subarcs; return its key rule."""
     if arcset.n != n:
         raise ValueError(f"arc set lives on {arcset.n} points, not {n}")
     if not arcset.subarc_closed:
         raise ValueError("arc set is not closed under subarcs")
+    return arcset._keys.__contains__
 
 
 def congruence_from_contracted(n: int, generators: Iterable[Arc]) -> ArcSet:
@@ -74,8 +77,7 @@ def minimal_contracted_generators(n: int, arcset: ArcSet) -> tuple[Arc, ...]:
 
     They are the arcs where growing the closed set from the unit arcs stops.
     """
-    _require_congruence(n, arcset)
-    return tuple(sorted((Arc(n, *key) for key in _grown(n, arcset._keys.__contains__)[1]), key=arc_key))
+    return tuple(sorted((Arc(n, *key) for key in _grown(n, _require_congruence(n, arcset))[1]), key=arc_key))
 
 
 def has_pattern(x: Permutation, alpha: Arc) -> bool:
@@ -119,8 +121,8 @@ def _kept_orders(tails: dict[tuple[int, tuple[int, ...]], list[tuple[int, ...]]]
     return tails[key]
 
 
-def _prefix_walk(n: int, keep: Callable[[tuple[int, int, int]], bool]) -> Iterator[Permutation]:
-    """The permutations of 1..n in lexicographic order, pruned at descents.
+def _prefix_walk(n: int, keep: Callable[[tuple[int, int, int]], bool]) -> Iterator[tuple[int, ...]]:
+    """The words of the permutations of 1..n in lexicographic order, pruned at descents.
 
     Placing a after b > a forms a descent whose interior values in `used`
     (a bit per placed value) sit left of it, the rest right; unless
@@ -143,7 +145,7 @@ def _prefix_walk(n: int, keep: Callable[[tuple[int, int, int]], bool]) -> Iterat
         b = word[-1] if word else 0  # the first value forms no descent
         if len(rest) <= _TAIL:
             for t in _kept_orders(tails, keep, b, rest, used):
-                yield Permutation._trusted(word + t)
+                yield word + t
             continue
         for j in range(len(rest) - 1, -1, -1):
             v = rest[j]
@@ -159,17 +161,16 @@ def uncontracted_permutations(n: int, arcset: ArcSet) -> Iterator[Permutation]:
     >>> [str(x) for x in uncontracted_permutations(3, U)]
     ['123', '132', '213', '231', '321']
     """
-    _require_congruence(n, arcset)
-    yield from _prefix_walk(n, arcset._keys.__contains__)
+    yield from map(Permutation._trusted, _prefix_walk(n, _require_congruence(n, arcset)))
 
 
 class _PatternMemo(dict):
     """Arc key -> whether no minimal contracted arc is a subarc of that arc, decided once per key."""
 
-    def __init__(self, patterns: Iterable[Arc]) -> None:
+    def __init__(self, patterns: Iterable[tuple[int, int, int]]) -> None:
         super().__init__()
-        # (a, b, interior bits, right bits) per pattern, a bit per value
-        self.patterns = [(g.a, g.b, (1 << g.b) - (2 << g.a), g.mask << (g.a + 1)) for g in patterns]
+        # (a, b, interior bits, right bits) per pattern key, a bit per value
+        self.patterns = [(ga, gb, (1 << gb) - (2 << ga), gmask << (ga + 1)) for ga, gb, gmask in patterns]
 
     def __missing__(self, key: tuple[int, int, int]) -> bool:
         a, b, mask = key
@@ -184,8 +185,10 @@ def uncontracted_by_avoidance(n: int, arcset: ArcSet) -> Iterator[Permutation]:
 
     The pattern of g occurs at a descent exactly when g is a subarc of
     the descent's arc: g's left values are placed and its right values not.
+    The patterns are the grower's failure keys, unsorted: `minimal_contracted_generators` as keys.
     """
-    yield from _prefix_walk(n, _PatternMemo(minimal_contracted_generators(n, arcset)).__getitem__)
+    keep = _PatternMemo(_grown(n, _require_congruence(n, arcset))[1]).__getitem__
+    yield from map(Permutation._trusted, _prefix_walk(n, keep))
 
 
 def _before_masks(e: Sequence[int]) -> list[int]:
@@ -224,22 +227,21 @@ def _walk(x: Permutation, keep: Callable[[tuple[int, int, int]], bool], down: bo
     return Permutation._trusted(_swap_walk(e, _before_masks(e), list(range(x.n - 1, 0, -1)), keep, down))
 
 
-def _cover_bottoms(y: Permutation, keep: Callable[[tuple[int, int, int]], bool]) -> Iterator[Permutation]:
-    """For each descent of the class bottom y, left to right, the bottom of y with it swapped.
+def _cover_bottoms(e: tuple[int, ...], keep: Callable[[tuple[int, int, int]], bool]) -> Iterator[tuple[int, ...]]:
+    """For each descent of the class bottom's word e, left to right, the bottom of e with it swapped.
 
-    Every other label of the swapped word is one of y's own, and a
+    Every other label of the swapped word is one of e's own, and a
     bottom's labels are all kept, so the walk starts at the two
     positions beside the swap only.
     """
-    e = y.entries
     before = _before_masks(e)
-    for s in range(1, y.n):
+    for s in range(1, len(e)):
         if e[s - 1] > e[s]:
             x = list(e)
             x[s - 1], x[s] = e[s], e[s - 1]
             swapped = before.copy()
             swapped[s + 1] = before[s] | 1 << e[s]
-            yield Permutation._trusted(_swap_walk(x, swapped, [s + 1, s - 1], keep, True))
+            yield _swap_walk(x, swapped, [s + 1, s - 1], keep, True)
 
 
 def project_down(x: Permutation, arcset: ArcSet) -> Permutation:
@@ -254,14 +256,12 @@ def project_down(x: Permutation, arcset: ArcSet) -> Permutation:
     >>> str(project_down(Permutation((3, 1, 2)), U)), str(project_up(Permutation((1, 3, 2)), U))
     ('132', '312')
     """
-    _require_congruence(x.n, arcset)
-    return _walk(x, arcset._keys.__contains__, down=True)
+    return _walk(x, _require_congruence(x.n, arcset), down=True)
 
 
 def project_up(x: Permutation, arcset: ArcSet) -> Permutation:
     """Top element of the congruence class of x: the walk of `project_down` over ascents."""
-    _require_congruence(x.n, arcset)
-    return _walk(x, arcset._keys.__contains__, down=False)
+    return _walk(x, _require_congruence(x.n, arcset), down=False)
 
 
 def named_congruence(

@@ -12,10 +12,12 @@ the error of `validate_diagram`.  Output depends only on the input values.
 """
 from __future__ import annotations
 
-from .arcs import Arc, ArcSet, _spelled, all_arcs, full_arc_set, subarc_covers
-from .congruences import _cover_bottoms, uncontracted_permutations
+from typing import Callable
+
+from .arcs import Arc, ArcSet, _arc_text, _spelled, _subarc_cover_keys, full_arc_set
+from .congruences import _cover_bottoms, _prefix_walk, _require_congruence
 from .diagrams import Diagram, _forcing, _require_compatible
-from .perms import Permutation
+from .perms import _word_text
 
 SPACING = 40  # vertical px between points
 UNIT = 22  # horizontal px per offset unit
@@ -44,6 +46,13 @@ def arc_offsets(diagram: Diagram) -> dict[Arc, dict[int, int]]:
     return offsets
 
 
+def _layout(diagram: Diagram) -> tuple[dict[Arc, dict[int, int]], int, int]:
+    """`arc_offsets` of the diagram, and its least and greatest offset (0 and 0 with no arcs)."""
+    offsets = arc_offsets(diagram)
+    every = [o for per in offsets.values() for o in per.values()]
+    return offsets, min(every, default=0), max(every, default=0)
+
+
 def _marker(h: int) -> str:
     return str(h) if h <= 9 else "o"
 
@@ -60,9 +69,7 @@ def render_ascii(diagram: Diagram) -> str:
     1
     """
     n = diagram.n
-    offsets = arc_offsets(diagram)
-    lo = min((o for per in offsets.values() for o in per.values()), default=0)
-    hi = max((o for per in offsets.values() for o in per.values()), default=0)
+    offsets, lo, hi = _layout(diagram)
     center = -lo * COL_WIDTH
     width = (hi - lo) * COL_WIDTH + 1
     grid = [[" "] * width for _ in range(2 * n - 1)]
@@ -102,9 +109,7 @@ def render_svg(diagram: Diagram) -> str:
     height, not just at the points themselves.
     """
     n = diagram.n
-    offsets = arc_offsets(diagram)
-    lo = min((o for per in offsets.values() for o in per.values()), default=0)
-    hi = max((o for per in offsets.values() for o in per.values()), default=0)
+    offsets, lo, hi = _layout(diagram)
     cx = MARGIN - lo * UNIT
     width = 2 * MARGIN + (hi - lo) * UNIT
     height = 2 * MARGIN + (n - 1) * SPACING
@@ -132,9 +137,9 @@ def render_svg(diagram: Diagram) -> str:
     return "\n".join(lines)
 
 
-def _dot(graph: str, covers: dict) -> str:
-    """DOT text of a Hasse diagram: each node, in order, maps to its upper covers in order."""
-    names = {x: str(x) for x in covers}  # every cover end is a node
+def _dot(graph: str, covers: dict, spell: Callable[[object], str]) -> str:
+    """DOT text of a Hasse diagram: each node, in order, maps to its upper covers in order; `spell` names it."""
+    names = {x: spell(x) for x in covers}  # every cover end is a node
     lines = [f"digraph {graph} {{", "  rankdir=BT;"]
     lines.extend(f'  "{name}";' for name in names.values())
     lines.extend(f'  "{name}" -> "{names[y]}";' for name, ups in zip(names.values(), covers.values()) for y in ups)
@@ -149,25 +154,24 @@ def export_dot(kind: str, n: int, arcset: ArcSet | None = None) -> str:
     nodes to the uncontracted permutations of that congruence, giving
     the quotient as an induced subposet; without one, the quotient by the
     congruence contracting nothing.  Nodes, and each node's upper covers,
-    come in canonical (lexicographic) order, with no sort.
+    come in canonical (lexicographic) order; the maps are keyed by arc
+    keys and by words, each spelled as `str` spells its arc or permutation.
     """
     if kind == "forcing":
         if arcset is not None:
             raise ValueError("the forcing export does not take a congruence")
-        covers: dict[Arc, list[Arc]] = {alpha: [] for alpha in all_arcs(n)}
+        covers: dict[tuple[int, int, int], list] = {key: [] for key in sorted(full_arc_set(n)._keys, key=_spelled)}
         for beta in covers:
-            for alpha in subarc_covers(beta):
+            for alpha in _subarc_cover_keys(*beta):
                 covers[alpha].append(beta)
-        return _dot("forcing", covers)
+        return _dot("forcing", covers, lambda key: _arc_text(*_spelled(key)))
     if kind == "weak":
-        arcset = full_arc_set(n) if arcset is None else arcset
         # every descent of a class bottom y is uncontracted, and the classes
         # that y's class covers are those of y's lower covers, all distinct
-        keep = arcset._keys.__contains__
-        above: dict[Permutation, list[Permutation]] = {y: [] for y in uncontracted_permutations(n, arcset)}
-        ups_of = {y.entries: ups for y, ups in above.items()}  # a word hashes in C, a permutation in Python
+        keep = _require_congruence(n, full_arc_set(n) if arcset is None else arcset)
+        above: dict[tuple[int, ...], list] = {y: [] for y in _prefix_walk(n, keep)}
         for y in above:
             for x in _cover_bottoms(y, keep):
-                ups_of[x.entries].append(y)
-        return _dot("weak_order", above)
+                above[x].append(y)
+        return _dot("weak_order", above, _word_text)
     raise ValueError(f"unknown export kind {kind!r}")

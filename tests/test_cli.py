@@ -263,6 +263,22 @@ def test_size_cap_garbage_value(capsys, monkeypatch):
         assert len(err) < 200, raw[:20]
 
 
+def test_integer_flags_take_ascii_digits_only(capsys, monkeypatch):
+    # argparse's int() would read "1_0" as 10 and "٣", "+3" and " 3 " as 3, and
+    # echo a 5000-digit value whole; "0" is digits, refused by the size checks
+    monkeypatch.delenv("ARCDIAG_MAX_N", raising=False)
+    for raw in ("many", "1_0", "٣", "0", "-1", "9" * 5000, "+3", " 3 "):
+        for argv in (["enumerate", "--n", raw, "--by-arcs"], ["complex", "--n", raw],
+                     ["export", "--n", raw, "--forcing"], ["render", "--ascii", "1-2", "--n", raw],
+                     ["inverse", "1-2", "--n", raw], ["project", "21", "--congruence", "tamari", "--n", raw],
+                     ["verify", "--n-max", raw]):
+            code, out, err = run(capsys, argv)
+            assert code == 2 and out == "" and 0 < len(err) < 200, (argv[0], raw[:20])
+            assert raw == "0" or "ASCII digits" in err or "too long" in err, (argv[0], raw[:20])
+    code, out, _ = run(capsys, ["render", "--ascii", "1-2", "--n", "2"])
+    assert code == 0 and len(out.splitlines()) == 3
+
+
 def test_polynomial_commands_ignore_size_cap(capsys, monkeypatch):
     monkeypatch.delenv("ARCDIAG_MAX_N", raising=False)
     entries = list(range(1, 51))

@@ -373,7 +373,9 @@ def _built_from(x, sets):
     for u in sets:
         yield project_down(x, u)
         yield project_up(x, u)
-        yield from arcdiag.congruences._cover_bottoms(project_down(x, u), u._keys.__contains__)
+        # the walk yields words, wrapped unchecked here so that the caller checks each
+        yield from map(Permutation._trusted,
+                       arcdiag.congruences._cover_bottoms(project_down(x, u).entries, u._keys.__contains__))
 
 
 def test_built_permutations_match_checked_construction():
