@@ -48,8 +48,8 @@ def _ascii_int(raw: str) -> int:
 def _max_n() -> int:
     raw = os.environ.get("ARCDIAG_MAX_N", "").strip()
     try:
-        limit = _ascii_int(raw) if raw else DEFAULT_MAX_N
-    except argparse.ArgumentTypeError:
+        limit = _whole_int(raw, "expected ASCII digits") if raw else DEFAULT_MAX_N
+    except ValueError:
         limit = 0
     if limit < 1:
         shown = raw if len(raw) <= 40 else f"{raw[:20]}...{raw[-10:]}"
@@ -133,16 +133,22 @@ def _cmd_project(args: argparse.Namespace) -> int:
 
 def _cmd_render(args: argparse.Namespace) -> int:
     diagram = _read_diagram(args)
-    print(render_svg(diagram) if args.svg else render_ascii(diagram))
+    if args.svg:
+        print(render_svg(diagram))
+    else:
+        print(render_ascii(diagram))
     return 0
 
 
 def _cmd_export(args: argparse.Namespace) -> int:
     n = _check_n(args.n)
-    if args.forcing and args.congruence is not None:
-        raise ValueError("--congruence only applies to --weak")
-    arcset = None if args.congruence is None else parse_congruence_spec(args.congruence, n)
-    print(export_dot("forcing" if args.forcing else "weak", n, arcset))
+    kind = "forcing" if args.forcing else "weak"
+    arcset = None
+    if args.congruence is not None:
+        if kind == "forcing":
+            raise ValueError("--congruence only applies to --weak")
+        arcset = parse_congruence_spec(args.congruence, n)
+    print(export_dot(kind, n, arcset))
     return 0
 
 

@@ -97,15 +97,12 @@ class Permutation(_Frozen):
         return len(self.entries)
 
     def __str__(self) -> str:
-        return _word_text(self.entries)
+        if self.n <= 9:
+            return "".join(str(v) for v in self.entries)
+        return ",".join(str(v) for v in self.entries)
 
     def __repr__(self) -> str:
         return f"Permutation({str(self)!r})"
-
-
-def _word_text(word: tuple[int, ...]) -> str:
-    """A word as `str` prints its permutation: digits run together up to n = 9, comma-separated beyond."""
-    return ("" if len(word) <= 9 else ",").join(map(str, word))
 
 
 class InversionSet(_Frozen):

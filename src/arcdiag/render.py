@@ -17,7 +17,7 @@ from typing import Callable
 from .arcs import Arc, ArcSet, _arc_text, _spelled, _subarc_cover_keys, full_arc_set
 from .congruences import _cover_bottoms, _prefix_walk, _require_congruence
 from .diagrams import Diagram, _forcing, _require_compatible
-from .perms import _word_text
+from .perms import Permutation
 
 SPACING = 40  # vertical px between points
 UNIT = 22  # horizontal px per offset unit
@@ -173,5 +173,5 @@ def export_dot(kind: str, n: int, arcset: ArcSet | None = None) -> str:
         for y in above:
             for x in _cover_bottoms(y, keep):
                 above[x].append(y)
-        return _dot("weak_order", above, _word_text)
+        return _dot("weak_order", above, lambda word: str(Permutation._trusted(word)))
     raise ValueError(f"unknown export kind {kind!r}")
