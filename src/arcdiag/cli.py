@@ -2,10 +2,10 @@
 
 Every subcommand prints plain text on stdout and returns an exit code:
 0 for success, 1 when a verification check fails, 2 for unusable input
-(bad flags, malformed text, out-of-range sizes).  `delta`, `inverse`,
-`render` and `project` take any n >= 1: their work grows polynomially
-with n, and `project` walks with its congruence's key rule, building
-no arc set.  The commands whose work grows with all arcs or all of S_n
+(bad flags, malformed text, out-of-range sizes).  `delta` and `project` take
+any n >= 1, and `inverse` and `render` any n up to sys.maxsize, the longest
+list Python can build: their work grows polynomially with n, and `project`
+walks with its congruence's key rule, building no arc set.  The commands whose work grows with all arcs or all of S_n
 (`enumerate`, `complex`, `export`, `verify`) refuse sizes above the cap
 in ARCDIAG_MAX_N (default 9) up front; `verify` stops at VERIFY_MAX_N
 (8) below that.  Integer flags, like ARCDIAG_MAX_N, take ASCII digits only.
@@ -45,6 +45,12 @@ def _ascii_int(raw: str) -> int:
         raise argparse.ArgumentTypeError(str(exc)) from None
 
 
+def _shown(value: object) -> str:
+    """`value` as text to echo in a message, its middle cut out past 40 characters."""
+    text = str(value)
+    return text if len(text) <= 40 else f"{text[:20]}...{text[-10:]}"
+
+
 def _max_n() -> int:
     raw = os.environ.get("ARCDIAG_MAX_N", "").strip()
     try:
@@ -52,21 +58,22 @@ def _max_n() -> int:
     except ValueError:
         limit = 0
     if limit < 1:
-        shown = raw if len(raw) <= 40 else f"{raw[:20]}...{raw[-10:]}"
-        raise ValueError(f"ARCDIAG_MAX_N must be an integer of at least 1, not {shown!r}")
+        raise ValueError(f"ARCDIAG_MAX_N must be an integer of at least 1, not {_shown(raw)!r}")
     return limit
 
 
 def _check_n(n: int) -> int:
     limit = _max_n()
     if not 1 <= n <= limit:
-        raise ValueError(f"n must be between 1 and {limit} (ARCDIAG_MAX_N), got {n}")
+        raise ValueError(f"n must be between 1 and {limit} (ARCDIAG_MAX_N), got {_shown(n)}")
     return n
 
 
 def _check_positive(n: int) -> int:
     if n < 1:
         raise ValueError(f"n must be at least 1, got {n}")
+    if n > sys.maxsize:  # sys.maxsize bounds a list's length, and the inverse and the renders list the points
+        raise ValueError(f"n must be at most {sys.maxsize}, got {_shown(n)}")
     return n
 
 
@@ -76,7 +83,7 @@ def _read_diagram(args: argparse.Namespace) -> Diagram:
         diagram = parse_diagram(text)
         _check_positive(diagram.n)
         if args.n is not None and args.n != diagram.n:
-            raise ValueError(f"--n {args.n} does not match a diagram on {diagram.n} points")
+            raise ValueError(f"--n {_shown(args.n)} does not match a diagram on {diagram.n} points")
         return diagram
     if args.n is None:
         raise ValueError("a bare diagram body needs --n")
@@ -126,7 +133,7 @@ def _cmd_enumerate(args: argparse.Namespace) -> int:
 def _cmd_project(args: argparse.Namespace) -> int:
     x = parse_permutation(args.perm)
     if args.n is not None and args.n != x.n:
-        raise ValueError(f"--n {args.n} does not match a permutation of {x.n}")
+        raise ValueError(f"--n {_shown(args.n)} does not match a permutation of {x.n}")
     print(format_permutation(_walk(x, _spec_rule(args.congruence, x.n), down=True)))
     return 0
 
@@ -161,7 +168,7 @@ def _cmd_complex(args: argparse.Namespace) -> int:
 def _cmd_verify(args: argparse.Namespace) -> int:
     limit = min(_max_n(), VERIFY_MAX_N)
     if not 1 <= args.n_max <= limit:
-        raise ValueError(f"--n-max must be between 1 and {limit}, got {args.n_max}")
+        raise ValueError(f"--n-max must be between 1 and {limit}, got {_shown(args.n_max)}")
     report = verify_report(args.n_max)
     print(report.to_json() if args.json else report.to_text())
     return 0 if report.passed else 1

@@ -112,17 +112,18 @@ def deletion_stages(diagram: Diagram) -> list[tuple[int, ...]]:
     k = len(comps)
     # components never share points, so witness points are never endpoints
     # of arcs on both sides and the mask test matches the pairwise rule
-    right_of = [
-        [i != j and comps[i].leftish & comps[j].rightish != 0 for j in range(k)]
-        for i in range(k)
-    ]
+    rightish = [c.rightish for c in comps]
+    right_of = [[left & right != 0 for right in rightish] for left in [c.leftish for c in comps]]
+    for i, row in enumerate(right_of):
+        row[i] = False
 
     color = [0] * k  # 0 unseen, 1 on stack, 2 done
 
     def check_acyclic(i: int) -> None:
         color[i] = 1
+        row = right_of[i]
         for j in range(k):
-            if right_of[i][j]:
+            if row[j]:
                 if color[j] == 1:
                     raise ValueError("the left-of relation on components has a cycle")
                 if color[j] == 0:
@@ -134,7 +135,7 @@ def deletion_stages(diagram: Diagram) -> list[tuple[int, ...]]:
             check_acyclic(i)
 
     blockers = [sum(row) for row in right_of]  # remaining components i is right of
-    left_of = [[i for i in range(k) if right_of[i][j]] for j in range(k)]
+    left_of = [[i for i, row in enumerate(right_of) if row[j]] for j in range(k)]
     ready: list[tuple[int, int, int]] = []  # (lo, hi, i) of the leftmost components, by lo
 
     def make_ready(i: int) -> None:

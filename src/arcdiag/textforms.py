@@ -58,15 +58,13 @@ def format_arc(alpha: Arc) -> str:
 
 def _scan_int(text: str, offset: int, message: str, base: int = 0) -> tuple[int, int]:
     # ASCII digits only: str.isdigit also passes digits that int() rejects or misreads
-    start = offset
-    while offset < len(text) and text[offset] in "0123456789":
-        offset += 1
-    if offset == start:
-        raise ParseError(message, base + start)
+    end = len(text) - len(text[offset:].lstrip("0123456789"))
+    if end == offset:
+        raise ParseError(message, base + offset)
     try:
-        return int(text[start:offset]), offset
+        return int(text[offset:end]), end
     except ValueError:  # more digits than sys.get_int_max_str_digits() allows
-        raise ParseError("number too long", base + start) from None
+        raise ParseError("number too long", base + offset) from None
 
 
 def _whole_int(text: str, message: str, base: int = 0) -> int:
@@ -93,9 +91,9 @@ def parse_arc(text: str, n: int, base_offset: int = 0) -> Arc:
             raise ParseError("unexpected trailing text", base_offset + offset)
         sides_start = offset + 1
         sides = text[sides_start:]
-        for i, ch in enumerate(sides):
-            if ch not in "LR":
-                raise ParseError(f"expected L or R, got {ch!r}", base_offset + sides_start + i)
+        i = len(sides) - len(sides.lstrip("LR"))
+        if i < len(sides):
+            raise ParseError(f"expected L or R, got {sides[i]!r}", base_offset + sides_start + i)
         if b - a == 1:
             raise ParseError("an arc of length 1 has no interior sides", base_offset + offset)
     if b - a > 1 and len(sides) != b - a - 1:

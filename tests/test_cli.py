@@ -356,3 +356,33 @@ def test_cli_imports_neither_dataclasses_nor_json():
     assert proc.returncode == 0 and proc.stderr == ""
     report = json.loads(proc.stdout)
     assert report["passed"] is True and report["n_max"] == 2
+
+
+BIG = "1" + "0" * 3999  # 4,000 digits: below int()'s limit, so the flags accept it
+BIG_SHOWN = "10000000000000000000...0000000000"
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["enumerate", "--n", BIG], f"n must be between 1 and 9 (ARCDIAG_MAX_N), got {BIG_SHOWN}"),
+        (["verify", "--n-max", BIG], f"--n-max must be between 1 and 8, got {BIG_SHOWN}"),
+        (["project", "21", "--congruence", "tamari", "--n", BIG], f"--n {BIG_SHOWN} does not match a permutation of 2"),
+        (["inverse", "n=3\n1-2", "--n", BIG], f"--n {BIG_SHOWN} does not match a diagram on 3 points"),
+        (["render", "--ascii", "1-2", "--n", BIG], f"n must be at most {sys.maxsize}, got {BIG_SHOWN}"),
+    ],
+)
+def test_range_errors_shorten_long_numbers(capsys, monkeypatch, argv, message):
+    monkeypatch.delenv("ARCDIAG_MAX_N", raising=False)
+    code, out, err = run(capsys, argv)
+    assert (code, out, err) == (2, "", f"error: {message}\n")
+    assert len(err) < 200
+
+
+@pytest.mark.parametrize("n", [sys.maxsize + 1, 10**30])
+def test_inverse_and_render_refuse_sizes_past_sys_maxsize(capsys, monkeypatch, n):
+    # no list is longer than sys.maxsize: the inverse raised OverflowError, and render ran out of memory
+    for argv, stdin in ((["inverse", "1-2", "--n", str(n)], None), (["render", "--ascii", "1-2", "--n", str(n)], None),
+                        (["inverse"], f"n={n}\n1-2\n"), (["render", "--svg"], f"n={n}\n1-2\n")):
+        code, out, err = run(capsys, argv, stdin, monkeypatch)
+        assert (code, out, err) == (2, "", f"error: n must be at most {sys.maxsize}, got {n}\n"), argv

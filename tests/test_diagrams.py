@@ -302,6 +302,35 @@ def test_stages_match_the_rescan_oracle_on_arc_subsets(n):
     assert reached == {"stages", CYCLE, "is not a noncrossing arc diagram"}
 
 
+def raised(inverse, diagram):
+    """The stage list, or the type and message of the exception raised instead."""
+    try:
+        return inverse(diagram)
+    except Exception as exc:
+        return type(exc), str(exc)
+
+
+@pytest.mark.parametrize("n", [30, 45, 60])
+def test_stages_match_the_rescan_oracle_with_many_components(n):
+    # from the identity (n components) to random permutations (about n/2)
+    rng = random.Random(2300 + n)
+    for _ in range(20):
+        entries = list(range(1, n + 1))
+        for _ in range(rng.randint(0, n)):
+            i, j = rng.randrange(n), rng.randrange(n)
+            entries[i], entries[j] = entries[j], entries[i]
+        d = diagram_from_permutation(Permutation(tuple(entries)))
+        assert raised(deletion_stages, d) == raised(rescanned_stages, d)
+
+
+def test_stages_match_the_rescan_oracle_on_arc_subsets_at_n12():
+    rng = random.Random(2312)
+    arcs = all_arcs(12)
+    for _ in range(200):
+        d = Diagram(12, frozenset(rng.sample(arcs, rng.randint(1, 12))))
+        assert raised(deletion_stages, d) == raised(rescanned_stages, d)
+
+
 @pytest.mark.parametrize(
     "n, body, message",
     [

@@ -20,6 +20,8 @@ from arcdiag import (
     parse_diagram_body,
     parse_permutation,
 )
+from arcdiag import textforms
+from arcdiag.arcs import Arc, side_mask
 
 perms = lambda n: st.permutations(range(1, n + 1)).map(lambda e: Permutation(tuple(e)))
 
@@ -297,3 +299,81 @@ def test_fuzz_parse_diagram(text):
 @FUZZ
 def test_fuzz_parse_congruence_spec(text, n):
     parses_or_reports_offset(lambda t: parse_congruence_spec(t, n), text)
+
+
+def looped_scan_int(text, offset, message, base=0):
+    """The per-character digit scan that `textforms._scan_int` replaced, kept as its oracle."""
+    start = offset
+    while offset < len(text) and text[offset] in "0123456789":
+        offset += 1
+    if offset == start:
+        raise ParseError(message, base + start)
+    try:
+        return int(text[start:offset]), offset
+    except ValueError:
+        raise ParseError("number too long", base + start) from None
+
+
+def looped_parse_arc(text, n, base_offset=0):
+    """`parse_arc` with the per-character side-letter scan it replaced, kept as its oracle."""
+    a, offset = textforms._scan_int(text, 0, "expected the lower endpoint", base_offset)
+    if offset >= len(text) or text[offset] != "-":
+        raise ParseError("expected '-' between endpoints", base_offset + offset)
+    b, offset = textforms._scan_int(text, offset + 1, "expected the upper endpoint", base_offset)
+    sides = ""
+    if offset < len(text):
+        if text[offset] != ":":
+            raise ParseError("unexpected trailing text", base_offset + offset)
+        sides_start = offset + 1
+        sides = text[sides_start:]
+        for i, ch in enumerate(sides):
+            if ch not in "LR":
+                raise ParseError(f"expected L or R, got {ch!r}", base_offset + sides_start + i)
+        if b - a == 1:
+            raise ParseError("an arc of length 1 has no interior sides", base_offset + offset)
+    if b - a > 1 and len(sides) != b - a - 1:
+        raise ParseError(f"arc {a}-{b} needs {b - a - 1} side letters, got {len(sides)}", base_offset + len(text))
+    try:
+        return Arc(n, a, b, side_mask(sides))
+    except ValueError as exc:
+        raise ParseError(str(exc), base_offset) from None
+
+
+def parse_arc_on_9(text):
+    return textforms.parse_arc(text, 9)  # looked up per call, so patching the module reaches it
+
+
+NUMBERS = ["3", "003", "+3", " 3", "٣", "1_0", "", "9" * 5000, "3x"]
+SIDES = ["LRLRL"] + [
+    "LRLRL"[:i] + bad + "LRLRL"[i + 1:] for bad in ("l", "X", "Ł") for i in (0, 2, 4)
+]
+SCAN_CORPUS = (
+    [(parse_permutation, t.format(v)) for t in ("1,2,{}", "{},1,2", "2,{},1") for v in NUMBERS]
+    + [(parse_permutation, t) for t in ("1,,2", "1,2,", ",", "1,2,3,")]
+    + [(parse_arc_on_9, t.format(v)) for t in ("{}-5:R", "1-{}", "1-{}:LR", "2{}-9") for v in NUMBERS]
+    + [(parse_diagram, t.format(v)) for t in ("n={}", "n={}\n1-3:L", "n=9\n2-{}", "n=9\n8-9;1-{}:LR")
+       for v in NUMBERS]
+    + [(parse, t.format(s)) for s in SIDES for parse, t in ((parse_arc_on_9, "1-7:{}"),
+                                                            (parse_diagram, "n=9\n8-9;1-7:{}"))]
+)
+
+
+def parsed(parse, text):
+    """The value, or the type, message and offset of the error raised instead."""
+    try:
+        return parse(text)
+    except ValueError as exc:
+        return type(exc), str(exc), getattr(exc, "offset", None)
+
+
+def short_id(value):
+    """A test id for a long input, cut in the middle; pytest's own id otherwise."""
+    return f"{value[:20]}...{value[-10:]}" if isinstance(value, str) and len(value) > 40 else None
+
+
+@pytest.mark.parametrize("parse, text", SCAN_CORPUS, ids=short_id)
+def test_scans_match_the_per_character_loops(parse, text, monkeypatch):
+    got = parsed(parse, text)
+    monkeypatch.setattr(textforms, "_scan_int", looped_scan_int)
+    monkeypatch.setattr(textforms, "parse_arc", looped_parse_arc)
+    assert got == parsed(parse, text)
