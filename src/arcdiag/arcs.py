@@ -19,6 +19,8 @@ key; an `Arc` is built only where one is printed or handed out.
 """
 from __future__ import annotations
 
+import sys
+from collections import defaultdict
 from functools import cached_property
 from typing import Callable, Iterable, Iterator
 
@@ -81,6 +83,12 @@ def _spelled(key: tuple[int, int, int]) -> tuple[int, int, str]:
     return a, b, bin(mask | 1 << (b - a - 1))[:2:-1].translate(_SIDE_LETTERS)
 
 
+def _shown(value: object) -> str:
+    """`value` as text to echo in a message, its middle cut out past 40 characters."""
+    text = str(value)
+    return text if len(text) <= 40 else f"{text[:20]}...{text[-10:]}"
+
+
 def _arc_text(a: int, b: int, sides: str) -> str:
     """An arc as text: `a-b`, then `:` and the side string when there are interior points."""
     return f"{a}-{b}:{sides}" if sides else f"{a}-{b}"
@@ -105,14 +113,16 @@ class ArcSet(_Frozen):
     """A set of arcs on n points: a diagram, or the uncontracted arcs of a congruence.
 
     It stores its arcs' (a, b, mask) keys, `_keys`; `.arcs` views them as
-    `Arc` values.  Only the size is checked here, so broken sets can be
-    built for the negative paths.  `validate_diagram` checks a diagram's
-    arcs; congruences check subarc closure where they use a set, once per set.
+    `Arc` values.  Only sizes are checked here, so broken sets can be built
+    for the negative paths.  `validate_diagram` reads the cached forcing
+    masks and congruences the cached subarc closure, once per set.
     """
 
     _fields = ("n", "_keys")  # and a __dict__ for the cached properties
 
     def __init__(self, n: int, arcs: Iterable[Arc]) -> None:
+        if n > sys.maxsize:  # sys.maxsize bounds a list's length, and the inverse and the renders list the points
+            raise ValueError(f"n must be at most {sys.maxsize}, got {_shown(n)}")
         arcs = tuple(arcs)
         for alpha in arcs:
             if alpha.n != n:
@@ -149,6 +159,46 @@ class ArcSet(_Frozen):
     def subarc_closed(self) -> bool:
         keys = self._keys
         return all(cover in keys for key in keys for cover in _subarc_cover_keys(*key))
+
+    @cached_property
+    def _forcing(self) -> tuple[tuple[tuple[int, int, int], ...], dict[int, int], dict[int, int], list[int], list[int]]:
+        """The keys in canonical order, and the forcing rule on them as masks with bit j for the j-th key.
+
+        After the keys come, keyed by interior point, the arcs passing it on
+        their left and on their right; and per arc, the arcs it is forced
+        right of and the other arcs it clashes with, by the rules of
+        `forces_right_of` and `incompatibility_reason`.  Rather than testing
+        pairs, the arcs are gathered per point by the side they pass it on,
+        so each arc takes a few `|` and `&` over the points it spans and the
+        cost follows the arcs, not n.
+        """
+        keys = tuple(sorted(self._keys, key=_spelled))
+        lower: dict[int, int] = defaultdict(int)  # arcs with p as lower endpoint
+        upper: dict[int, int] = defaultdict(int)  # arcs with p as upper endpoint
+        on_left: dict[int, int] = defaultdict(int)  # arcs passing interior point p on their left
+        on_right: dict[int, int] = defaultdict(int)
+        for j, (a, b, mask) in enumerate(keys):
+            bit = 1 << j
+            lower[a] |= bit
+            upper[b] |= bit
+            for k, p in enumerate(range(a + 1, b)):
+                (on_right if mask >> k & 1 else on_left)[p] |= bit
+
+        right_of = []
+        clash = []
+        for i, (a, b, mask) in enumerate(keys):
+            # an endpoint of alpha, the i-th arc, forces only arcs passing it in their interior
+            forced_left_of_alpha = on_right[a] | on_right[b]
+            forced_right_of_alpha = on_left[a] | on_left[b]
+            for k, p in enumerate(range(a + 1, b)):
+                if mask >> k & 1:
+                    forced_right_of_alpha |= on_left[p] | lower[p] | upper[p]
+                else:
+                    forced_left_of_alpha |= on_right[p] | lower[p] | upper[p]
+            right_of.append(forced_left_of_alpha)
+            both = (forced_left_of_alpha & forced_right_of_alpha) | lower[a] | upper[b]
+            clash.append(both & ~(1 << i))
+        return keys, on_left, on_right, right_of, clash
 
 
 def full_arc_set(n: int) -> ArcSet:

@@ -17,7 +17,7 @@ import functools
 import os
 import sys
 
-from .arcs import ArcSet, full_arc_set
+from .arcs import ArcSet, _shown, full_arc_set
 from .congruences import _walk
 from .counting import VERIFY_MAX_N, count_by_arcs, verify_report
 from .diagrams import Diagram, diagram_from_permutation, enumerate_diagrams, permutation_from_diagram
@@ -45,12 +45,6 @@ def _ascii_int(raw: str) -> int:
         raise argparse.ArgumentTypeError(str(exc)) from None
 
 
-def _shown(value: object) -> str:
-    """`value` as text to echo in a message, its middle cut out past 40 characters."""
-    text = str(value)
-    return text if len(text) <= 40 else f"{text[:20]}...{text[-10:]}"
-
-
 def _max_n() -> int:
     raw = os.environ.get("ARCDIAG_MAX_N", "").strip()
     try:
@@ -69,12 +63,9 @@ def _check_n(n: int) -> int:
     return n
 
 
-def _check_positive(n: int) -> int:
-    if n < 1:
+def _check_positive(n: int) -> None:
+    if n < 1:  # `ArcSet` refuses n above sys.maxsize
         raise ValueError(f"n must be at least 1, got {n}")
-    if n > sys.maxsize:  # sys.maxsize bounds a list's length, and the inverse and the renders list the points
-        raise ValueError(f"n must be at most {sys.maxsize}, got {_shown(n)}")
-    return n
 
 
 def _read_diagram(args: argparse.Namespace) -> Diagram:

@@ -45,7 +45,7 @@ from __future__ import annotations
 
 from typing import Callable, Iterable, Iterator, Sequence
 
-from .arcs import Arc, ArcSet, _grown, _inflections, _right_mask, arc_key
+from .arcs import Arc, ArcSet, _grown, _inflections, _right_mask
 from .diagrams import enumerate_diagrams
 from .perms import Permutation, positions
 
@@ -77,7 +77,7 @@ def minimal_contracted_generators(n: int, arcset: ArcSet) -> tuple[Arc, ...]:
 
     They are the arcs where growing the closed set from the unit arcs stops.
     """
-    return tuple(sorted((Arc(n, *key) for key in _grown(n, _require_congruence(n, arcset))[1]), key=arc_key))
+    return ArcSet._trusted(n, frozenset(_grown(n, _require_congruence(n, arcset))[1])).sorted_arcs()
 
 
 def has_pattern(x: Permutation, alpha: Arc) -> bool:

@@ -18,10 +18,9 @@ from __future__ import annotations
 
 import bisect
 import math
-from collections import defaultdict
-from typing import Iterable, Iterator, NamedTuple, Sequence
+from typing import Iterable, Iterator, NamedTuple
 
-from .arcs import Arc, ArcSet, _descent_arcs, _spelled, full_arc_set, incompatibility_reason
+from .arcs import Arc, ArcSet, _descent_arcs, full_arc_set, incompatibility_reason
 from .perms import Permutation, _Frozen
 
 
@@ -32,13 +31,12 @@ def validate_diagram(n: int, arcs: Iterable[Arc]) -> Diagram:
     """Check pairwise compatibility and wrap the arcs in a Diagram.
 
     Pairwise compatibility suffices: any set of pairwise compatible arcs
-    can be drawn together without crossings.  The clash masks of
-    `_forcing` decide; the first clashing pair in canonical order words
-    the error.  Arcs not on n points fail the `ArcSet` size check first.
+    can be drawn together without crossings.  The clash masks the set
+    caches in `ArcSet._forcing` decide; the first clashing pair in canonical
+    order words the error.  A bad size fails the `ArcSet` checks first.
     """
     diagram = Diagram(n, arcs)
-    ordered = sorted(diagram._keys, key=_spelled)
-    _require_compatible(n, ordered, _forcing(ordered)[3])
+    _require_compatible(diagram)
     return diagram
 
 
@@ -179,55 +177,17 @@ def permutation_from_diagram(diagram: Diagram) -> Permutation:
     return Permutation._trusted(tuple(word))
 
 
-def _forcing(keys: Sequence[tuple[int, int, int]]) -> tuple[dict[int, int], dict[int, int], list[int], list[int]]:
-    """The forcing rule on the arcs with these keys, in canonical order, as masks with bit j for keys[j].
-
-    Returns, keyed by interior point, the arcs passing it on their left
-    and on their right; and per arc, the arcs it is forced right of and the
-    other arcs it clashes with, by the rules of `forces_right_of` and
-    `incompatibility_reason`.  Rather than testing pairs, the arcs are
-    gathered per point by the side they pass it on, so each arc takes a
-    few `|` and `&` over the points it spans and the cost follows the
-    arcs, not n.
-    """
-    lower: dict[int, int] = defaultdict(int)  # arcs with p as lower endpoint
-    upper: dict[int, int] = defaultdict(int)  # arcs with p as upper endpoint
-    on_left: dict[int, int] = defaultdict(int)  # arcs passing interior point p on their left
-    on_right: dict[int, int] = defaultdict(int)
-    for j, (a, b, mask) in enumerate(keys):
-        bit = 1 << j
-        lower[a] |= bit
-        upper[b] |= bit
-        for k, p in enumerate(range(a + 1, b)):
-            (on_right if mask >> k & 1 else on_left)[p] |= bit
-
-    right_of = []
-    clash = []
-    for i, (a, b, mask) in enumerate(keys):
-        # an endpoint of alpha, the i-th arc, forces only arcs passing it in their interior
-        forced_left_of_alpha = on_right[a] | on_right[b]
-        forced_right_of_alpha = on_left[a] | on_left[b]
-        for k, p in enumerate(range(a + 1, b)):
-            if mask >> k & 1:
-                forced_right_of_alpha |= on_left[p] | lower[p] | upper[p]
-            else:
-                forced_left_of_alpha |= on_right[p] | lower[p] | upper[p]
-        right_of.append(forced_left_of_alpha)
-        both = (forced_left_of_alpha & forced_right_of_alpha) | lower[a] | upper[b]
-        clash.append(both & ~(1 << i))
-    return on_left, on_right, right_of, clash
-
-
-def _require_compatible(n: int, keys: Sequence[tuple[int, int, int]], clash: list[int]) -> None:
-    """Raise for the first clashing pair i < j of `keys`, as arcs on n points worded by `incompatibility_reason`."""
+def _require_compatible(arcset: ArcSet) -> None:
+    """Raise for the first clashing pair i < j of the set's keys in canonical order, worded by `incompatibility_reason`."""
+    keys, _, _, _, clash = arcset._forcing
     for i, mask in enumerate(clash):
         after = mask >> (i + 1)
         if after:
-            alpha, beta = Arc(n, *keys[i]), Arc(n, *keys[i + (after & -after).bit_length()])
+            alpha, beta = Arc(arcset.n, *keys[i]), Arc(arcset.n, *keys[i + (after & -after).bit_length()])
             raise ValueError(f"incompatible arcs: {incompatibility_reason(alpha, beta)}")
 
 
-def _compat_graph(n: int, arcset: ArcSet | None) -> tuple[list[tuple[int, int, int]], list[int]]:
+def _compat_graph(n: int, arcset: ArcSet | None) -> tuple[tuple[tuple[int, int, int], ...], list[int]]:
     """The keys of `arcset` (all arcs when None) in canonical order and their compatibility graph.
 
     Bit j of the i-th mask is set when j > i and arcs i and j do not
@@ -237,9 +197,8 @@ def _compat_graph(n: int, arcset: ArcSet | None) -> tuple[list[tuple[int, int, i
         arcset = full_arc_set(n)
     elif arcset.n != n:
         raise ValueError(f"arc set lives on {arcset.n} points, not {n}")
-    keys = sorted(arcset._keys, key=_spelled)
+    keys, _, _, _, clash = arcset._forcing
     everything = (1 << len(keys)) - 1
-    clash = _forcing(keys)[3]
     return keys, [everything & ~c & ~((2 << i) - 1) for i, c in enumerate(clash)]
 
 

@@ -6,8 +6,8 @@ whole number of units, positive when the point lies on the arc's left
 (the arc bows to the point's right) and negative on the other side.
 Arcs sharing a point and side are stacked by the forced left-to-right
 order, so curves never cross: an arc's rank there counts the arcs on
-that side it is forced right of, read off the masks of
-`diagrams._forcing`.  An arc set that is not a diagram is refused with
+that side it is forced right of, read off the set's cached forcing
+masks, `ArcSet._forcing`.  A set that is not a diagram is refused with
 the error of `validate_diagram`.  Output depends only on the input values.
 """
 from __future__ import annotations
@@ -16,7 +16,7 @@ from typing import Callable
 
 from .arcs import Arc, ArcSet, _arc_text, _spelled, _subarc_cover_keys, full_arc_set
 from .congruences import _cover_bottoms, _prefix_walk, _require_congruence
-from .diagrams import Diagram, _forcing, _require_compatible
+from .diagrams import Diagram, _require_compatible
 from .perms import Permutation
 
 SPACING = 40  # vertical px between points
@@ -32,9 +32,8 @@ def arc_offsets(diagram: Diagram) -> dict[Arc, dict[int, int]]:
 
     Incompatible arcs raise the error of `validate_diagram`.
     """
-    keys = sorted(diagram._keys, key=_spelled)
-    on_left, on_right, right_of, clash = _forcing(keys)
-    _require_compatible(diagram.n, keys, clash)
+    _require_compatible(diagram)
+    keys, on_left, on_right, right_of, _ = diagram._forcing
     offsets: dict[Arc, dict[int, int]] = {}
     for (a, b, mask), left_of_alpha in zip(keys, right_of):
         per = offsets[Arc(diagram.n, a, b, mask)] = {a: 0, b: 0}

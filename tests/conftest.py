@@ -1,6 +1,6 @@
 import pytest
 
-from arcdiag import all_permutations, diagram_from_permutation
+from arcdiag import ArcSet, all_permutations, diagram_from_permutation
 
 
 @pytest.fixture(scope="session")
@@ -14,3 +14,17 @@ def delta_image():
         return cache[n]
 
     return at
+
+
+@pytest.fixture
+def forcing_evaluations(monkeypatch):
+    """The sets whose cached `_forcing` is evaluated during the test, one entry per evaluation."""
+    prop = ArcSet.__dict__["_forcing"]
+    evaluate, seen = prop.func, []
+
+    def counted(arcset):
+        seen.append(arcset)
+        return evaluate(arcset)
+
+    monkeypatch.setattr(prop, "func", counted)
+    return seen

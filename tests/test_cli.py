@@ -379,6 +379,28 @@ def test_range_errors_shorten_long_numbers(capsys, monkeypatch, argv, message):
     assert len(err) < 200
 
 
+def test_a_long_header_on_stdin_is_shortened(capsys, monkeypatch):
+    # the size rule lives in `ArcSet`, which `parse_diagram` builds, and words n as the flags do
+    for argv in (["inverse"], ["render", "--ascii"], ["render", "--svg"]):
+        code, out, err = run(capsys, argv, f"n={BIG}\n1-2\n", monkeypatch)
+        assert (code, out, err) == (2, "", f"error: n must be at most {sys.maxsize}, got {BIG_SHOWN}\n"), argv
+
+
+def test_a_malformed_body_reports_its_parse_error_before_the_size(capsys):
+    # the arcs parse before the set that checks n is built
+    code, out, err = run(capsys, ["inverse", "1-x", "--n", str(sys.maxsize + 1)])
+    assert (code, out, err) == (2, "", "error: expected the upper endpoint (byte 2)\n")
+
+
+@pytest.mark.parametrize("stdin", [None, "n=8\n" + FIG_BODY + "\n"])
+@pytest.mark.parametrize("mode", ["--ascii", "--svg"])
+def test_render_evaluates_the_forcing_rule_once(capsys, monkeypatch, forcing_evaluations, mode, stdin):
+    argv = ["render", mode] if stdin else ["render", mode, FIG_BODY, "--n", "8"]
+    code, out, err = run(capsys, argv, stdin, monkeypatch)
+    assert code == 0 and err == "" and out
+    assert [str(d) for d in forcing_evaluations] == [FIG_BODY]
+
+
 @pytest.mark.parametrize("n", [sys.maxsize + 1, 10**30])
 def test_inverse_and_render_refuse_sizes_past_sys_maxsize(capsys, monkeypatch, n):
     # no list is longer than sys.maxsize: the inverse raised OverflowError, and render ran out of memory

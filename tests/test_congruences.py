@@ -39,7 +39,8 @@ from arcdiag import (
     uncontracted_by_avoidance,
     uncontracted_permutations,
 )
-from arcdiag.congruences import _cover_bottoms, _walk
+from arcdiag.arcs import _grown, arc_key
+from arcdiag.congruences import _cover_bottoms, _require_congruence, _walk
 from arcdiag.perms import positions
 from arcdiag.textforms import _spec_rule
 
@@ -101,6 +102,20 @@ def test_minimal_generators_regenerate(n):
         assert gens == tuple(
             g for g in arcs if g not in u and all(beta in u for beta in subarc_covers(g))
         )
+
+
+def sorted_generators(n, u):
+    """Oracle: the grower's failure keys as arcs, sorted by `arc_key`."""
+    return tuple(sorted((Arc(n, *key) for key in _grown(n, _require_congruence(n, u))[1]), key=arc_key))
+
+
+@pytest.mark.parametrize("n", range(1, 8))
+def test_minimal_generators_match_the_arc_key_sort(n):
+    congruences = [named_congruence(n, "tamari"), named_congruence(n, "baxter"), full_arc_set(n)]
+    if n > 1:  # there is no arc to contract at n = 1
+        congruences += [u for _, u in random_congruences(n, 10, seed=9100 + n)]
+    for u in congruences:
+        assert minimal_contracted_generators(n, u) == sorted_generators(n, u)
 
 
 def test_has_pattern_examples():

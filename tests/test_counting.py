@@ -111,6 +111,15 @@ def test_count_by_arcs_tamari():
     assert table.total == catalan(4)
 
 
+def test_counting_one_set_again_evaluates_the_forcing_rule_once(forcing_evaluations):
+    # the set caches its canonical order and clash masks, so a second count reuses them
+    u = named_congruence(7, "baxter")
+    first, second = count_by_arcs(7, u), count_by_arcs(7, u)
+    assert first == second and first.total == baxter_number(7)
+    assert sum(1 for _ in enumerate_diagrams(7, u)) == first.total
+    assert forcing_evaluations == [u]
+
+
 def test_count_by_arcs_rejects_unclosed():
     u = named_congruence(4, "tamari")
     broken = ArcSet(4, u.arcs - {make_arc(4, 1, 2, frozenset())})

@@ -169,11 +169,24 @@ def test_render_refuses_incompatible_arcs_like_validation(n):
             continue
         with pytest.raises(ValueError) as expected:
             validate_diagram(n, sub)
-        for draw in (arc_offsets, render_ascii, render_svg):
+        # one set drawn twice each way: the cached masks must refuse it every time
+        diagram = Diagram(n, sub)
+        for draw in (arc_offsets, render_ascii, render_svg) * 2:
             with pytest.raises(ValueError) as got:
-                draw(Diagram(n, sub))
+                draw(diagram)
             assert str(got.value) == str(expected.value)
         refused += 1
+
+
+def test_parse_and_every_draw_share_one_forcing_evaluation(forcing_evaluations):
+    d = parse_diagram("n=8\n1-3:R;2-5:LL;3-7:LRL")
+    cached = d.__dict__["_forcing"]
+    offsets, ascii_art, svg = arc_offsets(d), render_ascii(d), render_svg(d)
+    assert d.__dict__["_forcing"] is cached and forcing_evaluations == [d]
+    # a fresh equal set evaluates once more and draws the same
+    fresh = Diagram(8, d.arcs)
+    assert (arc_offsets(fresh), render_ascii(fresh), render_svg(fresh)) == (offsets, ascii_art, svg)
+    assert forcing_evaluations == [d, fresh]
 
 
 def test_gallery_n3_matches_side_data():

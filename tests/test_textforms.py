@@ -1,5 +1,7 @@
+import sys
+
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from arcdiag import (
@@ -21,7 +23,7 @@ from arcdiag import (
     parse_permutation,
 )
 from arcdiag import textforms
-from arcdiag.arcs import Arc, side_mask
+from arcdiag.arcs import Arc, _shown, side_mask
 
 perms = lambda n: st.permutations(range(1, n + 1)).map(lambda e: Permutation(tuple(e)))
 
@@ -276,14 +278,23 @@ def test_fuzz_parse_arc(text, n):
         ).map("".join),
     )
 )
+@example("n=9223372036854775808")
+@example("n=9223372036854775808\n1-2")
+@example("n=9223372036854775808\n1-x")
 @FUZZ
 def test_fuzz_parse_diagram(text):
     try:
         parses_or_reports_offset(parse_diagram, text)
     except ValueError as exc:
-        # well-formed text whose arcs cannot share a diagram: a validity
-        # error from validate_diagram, which carries no offset
-        assert str(exc).startswith("incompatible arcs: "), (text, exc)
+        if str(exc).startswith("n must be at most "):
+            # a header past sys.maxsize, which `ArcSet` refuses without an
+            # offset, in the words of the CLI's size errors
+            n = int(text.split("\n")[0][2:])
+            assert n > sys.maxsize and str(exc) == f"n must be at most {sys.maxsize}, got {_shown(n)}", (text, exc)
+        else:
+            # well-formed text whose arcs cannot share a diagram: a validity
+            # error from validate_diagram, which carries no offset
+            assert str(exc).startswith("incompatible arcs: "), (text, exc)
 
 
 @given(

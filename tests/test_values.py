@@ -1,6 +1,7 @@
 """The value classes: equality, hashing, immutability, keywords, pickling and copying."""
 import copy
 import pickle
+import sys
 
 import pytest
 
@@ -9,15 +10,18 @@ from arcdiag import (
     ArcSet,
     CheckResult,
     CountTable,
+    Diagram,
     DiagramClass,
     InversionSet,
     Permutation,
     VerifyReport,
     all_permutations,
+    arc_offsets,
     diagram_from_permutation,
     enumerate_diagrams,
     make_arc,
     named_congruence,
+    parse_diagram,
 )
 from arcdiag.arcs import _grown, side_string
 
@@ -94,13 +98,41 @@ def test_pickle_and_deepcopy_round_trip(value, names):
         assert repr(copied) == repr(value)
 
 
+def _drawn(arcset):
+    try:
+        return arc_offsets(arcset)
+    except ValueError as exc:
+        return str(exc)
+
+
 def test_round_trips_after_the_caches_fill():
-    # an ArcSet caches `subarc_closed` and its `arcs` view; a copy is equal and answers the same
+    # an ArcSet caches `subarc_closed`, its `arcs` view and its forcing masks; a copy is equal and answers the same
     for arcs, closed in [(ArcSet(4, frozenset({make_arc(4, 1, 4, {2}), make_arc(4, 2, 3)})), False),
+                         (ArcSet(4, frozenset({make_arc(4, 1, 3, {2}), make_arc(4, 1, 4, {2, 3})})), False),
+                         (parse_diagram("n=8\n1-3:R;2-5:LL;3-7:LRL"), False),
                          (named_congruence(5, "tamari"), True)]:
-        assert arcs.subarc_closed is closed and arcs.arcs
-        for copied in (pickle.loads(pickle.dumps(arcs)), copy.deepcopy(arcs), copy.copy(arcs)):
-            assert copied == arcs and copied.subarc_closed is closed and copied.arcs == arcs.arcs
+        fresh = ArcSet(arcs.n, arcs.arcs)
+        assert arcs.subarc_closed is closed and arcs.arcs and arcs._forcing
+        drawn = _drawn(arcs)
+        for copied in (pickle.loads(pickle.dumps(arcs)), copy.deepcopy(arcs), copy.copy(arcs), fresh):
+            assert set(copied.__dict__) == {"n", "_keys"}  # a copy starts with every cache empty
+            assert copied == arcs and hash(copied) == hash(arcs) and copied.subarc_closed is closed
+            assert copied.arcs == arcs.arcs
+            assert str(copied) == str(arcs) and copied.sorted_arcs() == arcs.sorted_arcs()
+            assert _drawn(copied) == drawn
+
+
+def test_sizes_past_sys_maxsize_are_refused():
+    # the inverse and the renders list the points, and no list is longer than sys.maxsize
+    for n in (sys.maxsize + 1, 10**30):
+        with pytest.raises(ValueError, match=f"n must be at most {sys.maxsize}, got {n}$"):
+            ArcSet(n, ())
+        with pytest.raises(ValueError, match=f"n must be at most {sys.maxsize}, got {n}$"):
+            Diagram(n, frozenset())
+    with pytest.raises(ValueError, match=r"got 10000000000000000000\.\.\.0000000000$"):
+        ArcSet(10**60, ())
+    assert ArcSet(sys.maxsize, ()).n == sys.maxsize
+    assert ArcSet._trusted(sys.maxsize + 1, frozenset()).n == sys.maxsize + 1  # keys known to fit are not checked
 
 
 def test_arc_repr_spells_its_sides():
