@@ -114,8 +114,9 @@ class ArcSet(_Frozen):
 
     It stores its arcs' (a, b, mask) keys, `_keys`; `.arcs` views them as
     `Arc` values.  Only sizes are checked here, so broken sets can be built
-    for the negative paths.  `validate_diagram` reads the cached forcing
-    masks and congruences the cached subarc closure, once per set.
+    for the negative paths.  Counting reads the cached forcing masks and
+    congruences the cached subarc closure, once per set; `validate_diagram`
+    draws the set point by point and reads the masks only to word a refusal.
     """
 
     _fields = ("n", "_keys")  # and a __dict__ for the cached properties
@@ -161,16 +162,17 @@ class ArcSet(_Frozen):
         return all(cover in keys for key in keys for cover in _subarc_cover_keys(*key))
 
     @cached_property
-    def _forcing(self) -> tuple[tuple[tuple[int, int, int], ...], dict[int, int], dict[int, int], list[int], list[int]]:
-        """The keys in canonical order, and the forcing rule on them as masks with bit j for the j-th key.
+    def _forcing(self) -> tuple[tuple[tuple[int, int, int], ...], list[int]]:
+        """The keys in canonical order, and per key a mask of the other keys it clashes with, bit j for the j-th.
 
-        After the keys come, keyed by interior point, the arcs passing it on
-        their left and on their right; and per arc, the arcs it is forced
-        right of and the other arcs it clashes with, by the rules of
-        `forces_right_of` and `incompatibility_reason`.  Rather than testing
-        pairs, the arcs are gathered per point by the side they pass it on,
-        so each arc takes a few `|` and `&` over the points it spans and the
-        cost follows the arcs, not n.
+        Two arcs clash by the rule of `incompatibility_reason`: they share an
+        endpoint of one kind, or each is forced right of the other as
+        `forces_right_of` says.  Rather than testing pairs, the arcs are
+        gathered per point by the side they pass it on, so each arc takes a
+        few `|` and `&` over the points it spans and the cost follows the
+        arcs, not n.  Counting reads the masks for every set; validation and
+        layout draw a set with `diagrams._sweep` and read them only to word
+        a refusal.
         """
         keys = tuple(sorted(self._keys, key=_spelled))
         lower: dict[int, int] = defaultdict(int)  # arcs with p as lower endpoint
@@ -184,7 +186,6 @@ class ArcSet(_Frozen):
             for k, p in enumerate(range(a + 1, b)):
                 (on_right if mask >> k & 1 else on_left)[p] |= bit
 
-        right_of = []
         clash = []
         for i, (a, b, mask) in enumerate(keys):
             # an endpoint of alpha, the i-th arc, forces only arcs passing it in their interior
@@ -195,10 +196,9 @@ class ArcSet(_Frozen):
                     forced_right_of_alpha |= on_left[p] | lower[p] | upper[p]
                 else:
                     forced_left_of_alpha |= on_right[p] | lower[p] | upper[p]
-            right_of.append(forced_left_of_alpha)
             both = (forced_left_of_alpha & forced_right_of_alpha) | lower[a] | upper[b]
             clash.append(both & ~(1 << i))
-        return keys, on_left, on_right, right_of, clash
+        return keys, clash
 
 
 def full_arc_set(n: int) -> ArcSet:

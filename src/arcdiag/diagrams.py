@@ -17,6 +17,7 @@ notation in O(k²) steps for k components.
 from __future__ import annotations
 
 import bisect
+import itertools
 import math
 from typing import Iterable, Iterator, NamedTuple
 
@@ -31,12 +32,15 @@ def validate_diagram(n: int, arcs: Iterable[Arc]) -> Diagram:
     """Check pairwise compatibility and wrap the arcs in a Diagram.
 
     Pairwise compatibility suffices: any set of pairwise compatible arcs
-    can be drawn together without crossings.  The clash masks the set
-    caches in `ArcSet._forcing` decide; the first clashing pair in canonical
-    order words the error.  A bad size fails the `ArcSet` checks first.
+    can be drawn together without crossings.  So the set is drawn from
+    point 1 upward (`_sweep`), which decides in time that follows the
+    arcs' spans; only a refused set evaluates the clash masks of
+    `ArcSet._forcing`, whose first clashing pair in canonical order words
+    the error.  A bad size fails the `ArcSet` checks first.
     """
     diagram = Diagram(n, arcs)
-    _require_compatible(diagram)
+    for _ in _sweep(diagram):  # raises for a set it cannot draw
+        pass
     return diagram
 
 
@@ -177,14 +181,52 @@ def permutation_from_diagram(diagram: Diagram) -> Permutation:
     return Permutation._trusted(tuple(word))
 
 
-def _require_compatible(arcset: ArcSet) -> None:
-    """Raise for the first clashing pair i < j of the set's keys in canonical order, worded by `incompatibility_reason`."""
-    keys, _, _, _, clash = arcset._forcing
+def _sweep(arcset: ArcSet) -> Iterator[tuple[int, list[tuple[int, int, int]], int]]:
+    """Per point p from the bottom up: p, the keys of the arcs passing p left to right, and how many are left of p.
+
+    Between points the open arcs keep one left-to-right order.  At p it
+    must read: the arcs with p on their right, then the arc ending at p if
+    any, then the arcs with p on their left.  The arc ending at p closes
+    and the one starting at p opens at p's gap.  Only the points under some
+    arc's span are visited, so the work follows the arcs, not n.  Two arcs
+    sharing an endpoint of one kind, or an order broken at some point,
+    raise the error of `_refusal`.
+    """
+    starts: dict[int, tuple[int, int, int]] = {}
+    ends: dict[int, tuple[int, int, int]] = {}
+    for key in arcset._keys:
+        if starts.setdefault(key[0], key) is not key or ends.setdefault(key[1], key) is not key:
+            raise _refusal(arcset)
+    passing: list[tuple[int, int, int]] = []  # the open arcs, left to right
+    p = 0
+    for first in sorted(starts):
+        if first <= p:
+            continue  # opened on the last run of points
+        for p in itertools.count(first):
+            ending = ends.get(p)
+            if ending:
+                at = passing.index(ending)
+                del passing[at]
+            sides = [mask >> (p - a - 1) & 1 for a, _, mask in passing]  # 1 when p is on the arc's right
+            r = sides.count(1)
+            if 0 in sides[:r] or ending and at != r:
+                raise _refusal(arcset)
+            yield p, passing, r
+            if p in starts:
+                passing.insert(r, starts[p])
+            elif not passing:
+                break
+
+
+def _refusal(arcset: ArcSet) -> ValueError:
+    """The error for a set `_sweep` refuses: its first clashing pair in canonical order, by `incompatibility_reason`."""
+    keys, clash = arcset._forcing
     for i, mask in enumerate(clash):
         after = mask >> (i + 1)
         if after:
             alpha, beta = Arc(arcset.n, *keys[i]), Arc(arcset.n, *keys[i + (after & -after).bit_length()])
-            raise ValueError(f"incompatible arcs: {incompatibility_reason(alpha, beta)}")
+            return ValueError(f"incompatible arcs: {incompatibility_reason(alpha, beta)}")
+    return ValueError(f"{arcset!r} is not a noncrossing arc diagram")  # the sweep and the masks disagree
 
 
 def _compat_graph(n: int, arcset: ArcSet | None) -> tuple[tuple[tuple[int, int, int], ...], list[int]]:
@@ -197,7 +239,7 @@ def _compat_graph(n: int, arcset: ArcSet | None) -> tuple[tuple[tuple[int, int, 
         arcset = full_arc_set(n)
     elif arcset.n != n:
         raise ValueError(f"arc set lives on {arcset.n} points, not {n}")
-    keys, _, _, _, clash = arcset._forcing
+    keys, clash = arcset._forcing
     everything = (1 << len(keys)) - 1
     return keys, [everything & ~c & ~((2 << i) - 1) for i, c in enumerate(clash)]
 

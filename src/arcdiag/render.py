@@ -4,11 +4,13 @@ Both renderers share one layout: points sit on a vertical axis with 1
 at the bottom, and an arc's horizontal offset at an interior point is a
 whole number of units, positive when the point lies on the arc's left
 (the arc bows to the point's right) and negative on the other side.
-Arcs sharing a point and side are stacked by the forced left-to-right
-order, so curves never cross: an arc's rank there counts the arcs on
-that side it is forced right of, read off the set's cached forcing
-masks, `ArcSet._forcing`.  A set that is not a diagram is refused with
-the error of `validate_diagram`.  Output depends only on the input values.
+Arcs sharing a point and side are stacked in the left-to-right order of
+the bottom-to-top sweep that validation draws with, `diagrams._sweep`,
+so curves never cross: at a point with r arcs on its left, the i-th arc
+from the left, counting from 0, sits at i - r, or at i - r + 1 once past
+the point.  A set
+that is not a diagram is refused with the error of `validate_diagram`.
+Output depends only on the input values.
 """
 from __future__ import annotations
 
@@ -16,7 +18,7 @@ from typing import Callable
 
 from .arcs import Arc, ArcSet, _arc_text, _spelled, _subarc_cover_keys, full_arc_set
 from .congruences import _cover_bottoms, _prefix_walk, _require_congruence
-from .diagrams import Diagram, _require_compatible
+from .diagrams import Diagram, _sweep
 from .perms import Permutation
 
 SPACING = 40  # vertical px between points
@@ -32,17 +34,12 @@ def arc_offsets(diagram: Diagram) -> dict[Arc, dict[int, int]]:
 
     Incompatible arcs raise the error of `validate_diagram`.
     """
-    _require_compatible(diagram)
-    keys, on_left, on_right, right_of, _ = diagram._forcing
-    offsets: dict[Arc, dict[int, int]] = {}
-    for (a, b, mask), left_of_alpha in zip(keys, right_of):
-        per = offsets[Arc(diagram.n, a, b, mask)] = {a: 0, b: 0}
-        for i, p in enumerate(range(a + 1, b)):
-            if mask >> i & 1:
-                per[p] = (left_of_alpha & on_right[p]).bit_count() - on_right[p].bit_count()
-            else:
-                per[p] = (left_of_alpha & on_left[p]).bit_count() + 1
-    return offsets
+    per = {a: {a: 0, b: 0} for a, b, _ in diagram._keys}  # by lower endpoint, which `_sweep` finds unshared
+    for p, passing, r in _sweep(diagram):
+        for i, (a, _, _) in enumerate(passing, -r):
+            per[a][p] = i if i < 0 else i + 1
+    # no two arcs share a lower endpoint, so sorting the keys as tuples gives the canonical order
+    return {Arc(diagram.n, *key): per[key[0]] for key in sorted(diagram._keys)}
 
 
 def _layout(diagram: Diagram) -> tuple[dict[Arc, dict[int, int]], int, int]:
@@ -71,32 +68,29 @@ def render_ascii(diagram: Diagram) -> str:
     offsets, lo, hi = _layout(diagram)
     center = -lo * COL_WIDTH
     width = (hi - lo) * COL_WIDTH + 1
-    grid = [[" "] * width for _ in range(2 * n - 1)]
+    grid = [bytearray(b" " * width) for _ in range(2 * n - 1)]  # ASCII rows, each run filled by one slice
+    bar = ord("|")
 
     def row_of(h: int) -> int:
         return 2 * (n - h)
 
     for alpha, per in offsets.items():
         for h in range(alpha.a + 1, alpha.b):
-            grid[row_of(h)][center + COL_WIDTH * per[h]] = "|"
+            grid[row_of(h)][center + COL_WIDTH * per[h]] = bar
         for h in range(alpha.a, alpha.b):
             upper = center + COL_WIDTH * per[h + 1]
             lower = center + COL_WIDTH * per[h]
             r = row_of(h) - 1
             if upper == lower:
-                grid[r][upper] = "|"
+                grid[r][upper] = bar
             elif lower > upper:
-                for c in range(upper + 1, lower - 1):
-                    grid[r][c] = "_"
-                grid[r][lower - 1] = "\\"
+                grid[r][upper + 1:lower] = b"_" * (lower - upper - 2) + b"\\"
             else:
-                grid[r][lower + 1] = "/"
-                for c in range(lower + 2, upper):
-                    grid[r][c] = "_"
+                grid[r][lower + 1:upper] = b"/" + b"_" * (upper - lower - 2)
 
     for h in range(1, n + 1):
-        grid[row_of(h)][center] = _marker(h)
-    return "\n".join("".join(row).rstrip() for row in grid)
+        grid[row_of(h)][center] = ord(_marker(h))
+    return b"\n".join(row.rstrip() for row in grid).decode()
 
 
 def render_svg(diagram: Diagram) -> str:

@@ -395,10 +395,17 @@ def test_a_malformed_body_reports_its_parse_error_before_the_size(capsys):
 @pytest.mark.parametrize("stdin", [None, "n=8\n" + FIG_BODY + "\n"])
 @pytest.mark.parametrize("mode", ["--ascii", "--svg"])
 def test_render_evaluates_the_forcing_rule_once(capsys, monkeypatch, forcing_evaluations, mode, stdin):
-    argv = ["render", mode] if stdin else ["render", mode, FIG_BODY, "--n", "8"]
-    code, out, err = run(capsys, argv, stdin, monkeypatch)
-    assert code == 0 and err == "" and out
-    assert [str(d) for d in forcing_evaluations] == [FIG_BODY]
+    # a diagram is parsed and drawn by the sweep alone; a refused set evaluates
+    # the forcing masks once, to word its first clashing pair
+    refused = "2-5:LR;3-7:RLL"
+    for body, evaluated in ((FIG_BODY, []), (refused, [refused])):
+        argv = ["render", mode] if stdin else ["render", mode, body, "--n", "8"]
+        code, out, err = run(capsys, argv, stdin and stdin.replace(FIG_BODY, body), monkeypatch)
+        if evaluated:
+            assert (code, out) == (2, "") and err.startswith("error: incompatible arcs: point 3 forces 2-5:LR")
+        else:
+            assert code == 0 and err == "" and out
+        assert [str(d) for d in forcing_evaluations] == evaluated
 
 
 @pytest.mark.parametrize("n", [sys.maxsize + 1, 10**30])

@@ -12,6 +12,7 @@ from arcdiag import (
     all_arcs,
     all_permutations,
     arc_from_ji,
+    arc_offsets,
     canonical_joinands,
     classify_diagram,
     compatible,
@@ -72,14 +73,28 @@ def test_validate_diagram_rejects_crossing():
         validate_diagram(8, [make_arc(8, 2, 5, {4}), make_arc(8, 3, 7, {4})])
 
 
-@pytest.mark.parametrize("n", range(3, 7))
+def arc_subsets(n, rng):
+    """Every subset of the arcs at n=4; else 400 seeded ones, each with a twin arc sharing an endpoint one time in four."""
+    arcs = all_arcs(n)
+    if n == 4:
+        yield from (list(sub) for r in range(len(arcs) + 1) for sub in itertools.combinations(arcs, r))
+        return
+    for _ in range(400):
+        sub = rng.sample(arcs, rng.randint(1, min(n + 1, len(arcs))))
+        alpha = sub[0]
+        twins = [beta for beta in arcs if beta != alpha and (beta.a == alpha.a or beta.b == alpha.b)]
+        if twins and rng.random() < 0.25:
+            sub.append(rng.choice([beta for beta in twins if beta not in sub] or twins))
+        yield sorted(set(sub), key=arcs.index)
+
+
+@pytest.mark.parametrize("n", range(2, 8))
 def test_validation_matches_the_pairwise_rule(n):
     # accepts exactly the pairwise compatible sets, and words the first
     # rejected pair i < j in canonical order
     rng = random.Random(7100 + n)
-    arcs = all_arcs(n)
-    for _ in range(400):
-        sub = sorted(rng.sample(arcs, rng.randint(1, min(n + 1, len(arcs)))), key=arcs.index)
+    verdicts = set()
+    for sub in arc_subsets(n, rng):
         clashes = [
             reason
             for alpha, beta in itertools.combinations(sub, 2)
@@ -90,16 +105,35 @@ def test_validation_matches_the_pairwise_rule(n):
             with pytest.raises(ValueError) as exc:
                 validate_diagram(n, sub)
             assert str(exc.value) == "incompatible arcs: " + clashes[0]
+            verdicts.add(clashes[0].split()[-3] if "endpoint" in clashes[0] else "forces")
         else:
             assert validate_diagram(n, sub).arcs == frozenset(sub)
+            verdicts.add("accepted")
+    # n=2 has one arc, and a point forces two arcs apart only from n=4 on
+    every = {"accepted", "lower", "upper", "forces"}
+    assert verdicts == ({"accepted"} if n == 2 else every - {"forces"} if n == 3 else every)
+
+
+def test_a_refusal_the_masks_cannot_word_still_raises(monkeypatch):
+    # should the sweep and the clash masks ever disagree, the set is refused, not accepted
+    prop = ArcSet.__dict__["_forcing"]
+    evaluate = prop.func
+    monkeypatch.setattr(prop, "func", lambda arcset: (evaluate(arcset)[0], [0] * len(arcset._keys)))
+    crossing = [make_arc(8, 2, 5, {4}), make_arc(8, 3, 7, {4})]
+    with pytest.raises(ValueError, match=r"^ArcSet\(8, '2-5:LR;3-7:RLL'\) is not a noncrossing arc diagram$"):
+        validate_diagram(8, crossing)
 
 
 def test_validation_cost_follows_the_arcs():
-    # masks sized by n would not fit in memory here
+    # masks or a sweep sized by n would not fit in memory or time here
     assert parse_diagram("n=9999999999\n9999999998-9999999999").n == 9999999999
     n = 10**18
     top = make_arc(n, n - 1, n, frozenset())
     assert validate_diagram(n, [top]).arcs == {top}
+    assert arc_offsets(Diagram(n, [top])) == {top: {n - 1: 0, n: 0}}
+    bottom = make_arc(10**15, 1, 2)
+    assert validate_diagram(10**15, [bottom]).arcs == {bottom}
+    assert arc_offsets(Diagram(10**15, [bottom])) == {bottom: {1: 0, 2: 0}}
 
 
 def test_deletion_stages_worked_example():

@@ -1,13 +1,14 @@
 import itertools
 import random
 import re
-from collections import Counter
+from collections import Counter, defaultdict
 
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from arcdiag import (
+    Arc,
     Diagram,
     Permutation,
     all_permutations,
@@ -169,7 +170,7 @@ def test_render_refuses_incompatible_arcs_like_validation(n):
             continue
         with pytest.raises(ValueError) as expected:
             validate_diagram(n, sub)
-        # one set drawn twice each way: the cached masks must refuse it every time
+        # one set drawn twice each way: the sweep must refuse it every time, in the same words
         diagram = Diagram(n, sub)
         for draw in (arc_offsets, render_ascii, render_svg) * 2:
             with pytest.raises(ValueError) as got:
@@ -179,14 +180,59 @@ def test_render_refuses_incompatible_arcs_like_validation(n):
 
 
 def test_parse_and_every_draw_share_one_forcing_evaluation(forcing_evaluations):
+    # a diagram is parsed and drawn by the sweep alone, with no forcing masks
     d = parse_diagram("n=8\n1-3:R;2-5:LL;3-7:LRL")
-    cached = d.__dict__["_forcing"]
     offsets, ascii_art, svg = arc_offsets(d), render_ascii(d), render_svg(d)
-    assert d.__dict__["_forcing"] is cached and forcing_evaluations == [d]
-    # a fresh equal set evaluates once more and draws the same
     fresh = Diagram(8, d.arcs)
     assert (arc_offsets(fresh), render_ascii(fresh), render_svg(fresh)) == (offsets, ascii_art, svg)
-    assert forcing_evaluations == [d, fresh]
+    assert forcing_evaluations == [] and "_forcing" not in d.__dict__
+    # a refused set evaluates the masks once, to word its error, and every refusal reads them
+    with pytest.raises(ValueError) as expected:
+        parse_diagram("n=8\n2-5:LR;3-7:RLL")
+    assert forcing_evaluations == [Diagram(8, [make_arc(8, 2, 5, {4}), make_arc(8, 3, 7, {4})])]
+    refused = Diagram(8, forcing_evaluations[0].arcs)
+    for draw in (arc_offsets, render_ascii, render_svg) * 2:
+        with pytest.raises(ValueError) as got:
+            draw(refused)
+        assert str(got.value) == str(expected.value)
+    assert forcing_evaluations[1:] == [refused]
+
+
+def masked_offsets(diagram):
+    """The popcount layout that `arc_offsets` replaced, kept as its oracle.
+
+    An arc's offset at an interior point ranks it among the arcs passing
+    that point on the same side, by a popcount of the arcs there that the
+    forcing rule puts left of it.
+    """
+    keys = [(alpha.a, alpha.b, alpha.mask) for alpha in diagram.sorted_arcs()]
+    lower, upper, on_left, on_right = (defaultdict(int) for _ in range(4))
+    for j, (a, b, mask) in enumerate(keys):
+        lower[a] |= 1 << j
+        upper[b] |= 1 << j
+        for k, p in enumerate(range(a + 1, b)):
+            (on_right if mask >> k & 1 else on_left)[p] |= 1 << j
+    offsets = {}
+    for a, b, mask in keys:
+        left_of_alpha = on_right[a] | on_right[b]  # the arcs alpha is forced right of
+        for k, p in enumerate(range(a + 1, b)):
+            if not mask >> k & 1:
+                left_of_alpha |= on_right[p] | lower[p] | upper[p]
+        per = offsets[Arc(diagram.n, a, b, mask)] = {a: 0, b: 0}
+        for k, p in enumerate(range(a + 1, b)):
+            if mask >> k & 1:
+                per[p] = (left_of_alpha & on_right[p]).bit_count() - on_right[p].bit_count()
+            else:
+                per[p] = (left_of_alpha & on_left[p]).bit_count() + 1
+    return offsets
+
+
+def test_sweep_layout_matches_the_popcount_oracle(delta_image):
+    diagrams = list(delta_image(7).values())
+    diagrams += [diagram_from_permutation(seeded_permutation(seed, n)) for n in (200, 1000) for seed in (n, n + 1)]
+    for d in diagrams:
+        offsets = arc_offsets(d)
+        assert offsets == masked_offsets(d) and list(offsets) == list(d.sorted_arcs()), str(d)
 
 
 def test_gallery_n3_matches_side_data():
