@@ -4,22 +4,23 @@ A diagram is a set of pairwise compatible arcs on n points.  Each
 permutation maps to the diagram collecting one arc per descent (the arcs
 of its canonical joinands), and that map is a bijection: the inverse
 reads the diagram's connected components off from left to right, writing
-each component's points in decreasing order.
+each component's points in decreasing order.  The components are thus
+the descending runs of the inverse, which is all `deletion_stages` reads.
 
-The component walk mirrors how the diagram sits in the plane.  Treating
-arcs as edges, every component of a valid diagram is a path through
-decreasing point labels.  A component sits right of another when a
-witness point lies left of (or on) the first and right of (or on) the
-second.  Deleting the components in an in-degree order, always the
-leftmost one with the smallest minimum label, reconstructs the one-line
-notation in O(k²) steps for k components.
+The component walk of `permutation_from_diagram` mirrors how the diagram
+sits in the plane.  Treating arcs as edges, every component of a valid
+diagram is a path through decreasing point labels.  A component sits
+right of another when a witness point lies left of (or on) the first and
+right of (or on) the second.  Writing the components in an in-degree
+order, always the leftmost one with the smallest minimum label,
+reconstructs the one-line notation in O(k²) steps for k components.
 """
 from __future__ import annotations
 
-import bisect
+import heapq
 import itertools
 import math
-from typing import Iterable, Iterator, NamedTuple
+from typing import Iterable, Iterator
 
 from .arcs import Arc, ArcSet, _descent_arcs, full_arc_set, incompatibility_reason
 from .perms import Permutation, _Frozen
@@ -57,15 +58,11 @@ def diagram_from_permutation(x: Permutation) -> Diagram:
     return Diagram._trusted(x.n, frozenset([key for _, key in _descent_arcs(x)]))
 
 
-class _Component(NamedTuple):
-    points_desc: tuple[int, ...]
-    lo: int
-    hi: int
-    leftish: int  # bitmask: component points plus left sides of its arcs
-    rightish: int  # bitmask: component points plus right sides of its arcs
+def _components(diagram: Diagram) -> tuple[list[tuple[int, ...]], list[int], list[int]]:
+    """The components' points, each run decreasing and runs by lowest point, and their leftish and rightish masks.
 
-
-def _components(diagram: Diagram) -> list[_Component]:
+    A mask holds the component's points plus the left (right) sides of its arcs.
+    """
     n = diagram.n
     parent = list(range(n + 1))
 
@@ -88,34 +85,31 @@ def _components(diagram: Diagram) -> list[_Component]:
         side = sides[find(a)]
         side[0] |= ((1 << (b - a - 1)) - 1 ^ mask) << (a + 1)
         side[1] |= mask << (a + 1)
-    return [_Component(tuple(reversed(pts)), pts[0], pts[-1], *sides[root])
-            for root, pts in members.items()]
+    return ([tuple(reversed(pts)) for pts in members.values()],
+            [side[0] for side in sides.values()], [side[1] for side in sides.values()])
 
 
-def deletion_stages(diagram: Diagram) -> list[tuple[int, ...]]:
-    """Component point runs in deletion order, each written decreasingly.
+def permutation_from_diagram(diagram: Diagram) -> Permutation:
+    """Invert `diagram_from_permutation`: write the components from left to right, each decreasingly.
 
-    At every stage the components not right of any remaining component
-    occupy disjoint label intervals; the one with the smallest minimum
-    is deleted.  In Kahn's order each component counts the components it
-    is right of, and joins a sorted list of the leftmost ones when the
-    count reaches 0, checked there against its two neighbours; deleting
-    the first lowers its dependants' counts.  Each step takes O(k²) time
-    for k components.  Inputs that cannot be drawn fail loudly instead of
-    producing a wrong permutation: the stages must spell a permutation
-    whose diagram is the input, which holds exactly for valid diagrams
-    since `diagram_from_permutation` is a bijection onto them.
+    Of the components not right of any remaining one, the one with the
+    smallest minimum goes next.  In Kahn's order each component counts the
+    components it is right of, and enters a heap keyed by its lowest point
+    when the count reaches 0; writing it lowers its dependants' counts, in
+    O(k²) time for k components.  Inputs that cannot be drawn fail
+    loudly instead of producing a wrong permutation: the word must be a
+    permutation whose diagram is the input, which holds exactly for valid
+    diagrams since `diagram_from_permutation` is a bijection onto them.
 
     >>> from .textforms import parse_diagram
-    >>> deletion_stages(parse_diagram("n=8\\n1-3:R;2-5:LL;3-7:LRL"))
-    [(4,), (6,), (7, 3, 1), (5, 2), (8,)]
+    >>> str(permutation_from_diagram(parse_diagram("n=8\\n1-3:R;2-5:LL;3-7:LRL")))
+    '46731528'
     """
-    comps = _components(diagram)
-    k = len(comps)
+    runs, leftish, rightish = _components(diagram)
+    k = len(runs)
     # components never share points, so witness points are never endpoints
     # of arcs on both sides and the mask test matches the pairwise rule
-    rightish = [c.rightish for c in comps]
-    right_of = [[left & right != 0 for right in rightish] for left in [c.leftish for c in comps]]
+    right_of = [[left & right != 0 for right in rightish] for left in leftish]
     for i, row in enumerate(right_of):
         row[i] = False
 
@@ -138,47 +132,41 @@ def deletion_stages(diagram: Diagram) -> list[tuple[int, ...]]:
 
     blockers = [sum(row) for row in right_of]  # remaining components i is right of
     left_of = [[i for i, row in enumerate(right_of) if row[j]] for j in range(k)]
-    ready: list[tuple[int, int, int]] = []  # (lo, hi, i) of the leftmost components, by lo
-
-    def make_ready(i: int) -> None:
-        lo, hi = comps[i].lo, comps[i].hi
-        at = bisect.bisect(ready, (lo,))
-        # the list stays disjoint, so only its neighbours can overlap the new span
-        if (at and ready[at - 1][1] >= lo) or (at < len(ready) and ready[at][0] <= hi):
-            raise ValueError("leftmost components overlap in label range")
-        ready.insert(at, (lo, hi, i))
-
-    for i in range(k):
-        if not blockers[i]:
-            make_ready(i)
-    order: list[tuple[int, ...]] = []
+    # (lowest point, i) of the leftmost components, never two with overlapping spans:
+    # a point strictly inside a span lies on a side of an arc, which relates the two
+    ready = [(runs[i][-1], i) for i in range(k) if not blockers[i]]
+    heapq.heapify(ready)
+    word: list[int] = []
     while ready:
-        pick = ready.pop(0)[2]
-        order.append(comps[pick].points_desc)
+        pick = heapq.heappop(ready)[1]
+        word.extend(runs[pick])
         for i in left_of[pick]:
             blockers[i] -= 1
             if not blockers[i]:
-                make_ready(i)
-    if len(order) < k:
+                heapq.heappush(ready, (runs[i][-1], i))
+    if len(word) < diagram.n:
         raise ValueError("no leftmost component among the remainder")
-    word = tuple(p for run in order for p in run)
     # each component goes in once and they partition 1..n, so the word is a permutation
-    if diagram_from_permutation(Permutation._trusted(word)) != diagram:
+    x = Permutation._trusted(tuple(word))
+    if diagram_from_permutation(x) != diagram:
         raise ValueError(f"{diagram!r} is not a noncrossing arc diagram")
-    return order
+    return x
 
 
-def permutation_from_diagram(diagram: Diagram) -> Permutation:
-    """Invert `diagram_from_permutation`.
+def deletion_stages(diagram: Diagram) -> list[tuple[int, ...]]:
+    """The components in the order `permutation_from_diagram` writes them: the descending runs of its result.
+
+    Each component is written decreasingly, and a descent from one
+    component into the next would be an arc of the result's diagram, the
+    input, joining the two.  So the runs split exactly at the ascents.
 
     >>> from .textforms import parse_diagram
-    >>> str(permutation_from_diagram(parse_diagram("n=8\\n1-3:R;2-5:LL;3-7:LRL")))
-    '46731528'
+    >>> deletion_stages(parse_diagram("n=8\\n1-3:R;2-5:LL;3-7:LRL"))
+    [(4,), (6,), (7, 3, 1), (5, 2), (8,)]
     """
-    word: list[int] = []
-    for run in deletion_stages(diagram):
-        word.extend(run)
-    return Permutation._trusted(tuple(word))
+    word = permutation_from_diagram(diagram).entries
+    starts = [i for i in range(len(word)) if i == 0 or word[i - 1] < word[i]]
+    return [word[i:j] for i, j in zip(starts, starts[1:] + [len(word)])]
 
 
 def _sweep(arcset: ArcSet) -> Iterator[tuple[int, list[tuple[int, int, int]], int]]:
@@ -249,22 +237,23 @@ def enumerate_diagrams(n: int, arcset: ArcSet | None = None) -> Iterator[Diagram
 
     Arcs are tried in canonical order and partial selections are pruned
     at the first incompatible pair, so every emitted set is valid and
-    every valid set is emitted exactly once.
+    every valid set is emitted exactly once, each before its extensions.
+    A flat stack holds per chosen arc the keys so far and the arcs still
+    to try, so many arcs do not nest calls.
     """
     keys, later = _compat_graph(n, arcset)
-    chosen: list[tuple[int, int, int]] = []
-
-    def walk(allowed: int) -> Iterator[Diagram]:
+    yield Diagram._trusted(n, frozenset())
+    stack = [((), (1 << len(keys)) - 1)]
+    while stack:
+        chosen, untried = stack[-1]
+        if not untried:
+            stack.pop()
+            continue
+        i = (untried & -untried).bit_length() - 1
+        stack[-1] = (chosen, untried & (untried - 1))
+        chosen += (keys[i],)
         yield Diagram._trusted(n, frozenset(chosen))
-        m = allowed
-        while m:
-            i = (m & -m).bit_length() - 1
-            m &= m - 1
-            chosen.append(keys[i])
-            yield from walk(allowed & later[i])
-            chosen.pop()
-
-    yield from walk((1 << len(keys)) - 1)
+        stack.append((chosen, untried & later[i]))
 
 
 def count_diagrams(n: int, arcset: ArcSet | None = None) -> tuple[int, ...]:

@@ -16,18 +16,20 @@ from arcdiag import (
     canonical_joinands,
     classify_diagram,
     compatible,
+    congruence_from_contracted,
     count_diagrams,
     deletion_stages,
     diagram_from_permutation,
     enumerate_diagrams,
     incompatibility_reason,
     make_arc,
+    named_congruence,
     parse_diagram,
     permutation_from_diagram,
     validate_diagram,
 )
 from arcdiag import diagrams
-from arcdiag.diagrams import _Component
+from arcdiag.diagrams import _compat_graph
 from arcdiag.textforms import parse_arc
 
 perms = lambda n: st.permutations(range(1, n + 1)).map(lambda e: Permutation(tuple(e)))
@@ -185,6 +187,53 @@ def test_enumeration_stays_inside_arcset():
     assert len(short) == 16
 
 
+def recursive_listing(n, arcset=None):
+    """The listing as one nested call per chosen arc: the order oracle of `enumerate_diagrams`."""
+    keys, later = _compat_graph(n, arcset)
+    chosen = []
+
+    def walk(allowed):
+        yield Diagram._trusted(n, frozenset(chosen))
+        m = allowed
+        while m:
+            i = (m & -m).bit_length() - 1
+            m &= m - 1
+            chosen.append(keys[i])
+            yield from walk(allowed & later[i])
+            chosen.pop()
+
+    yield from walk((1 << len(keys)) - 1)
+
+
+@pytest.mark.parametrize("n", range(1, 8))
+def test_listing_order_matches_the_recursive_walk(n):
+    rng = random.Random(2500 + n)
+    arcs = all_arcs(n)
+    sets = [None, *(named_congruence(n, *spec) for spec in [("tamari",), ("baxter",), ("maxlen", 2), ("clumped", 1)])]
+    sets += [congruence_from_contracted(n, rng.sample(arcs, rng.randint(1, min(4, len(arcs))))) for _ in range(4 * (n > 1))]
+    for arcset in sets:
+        assert list(enumerate_diagrams(n, arcset)) == list(recursive_listing(n, arcset))
+
+
+def test_listing_goes_deeper_than_the_recursion_limit():
+    # Every two unit arcs are compatible, so the listing is every subset of
+    # the 1,099 unit arcs, in lexicographic order of their indices with each
+    # set before its extensions: the first 1,100 nest one arc deeper each.
+    n = 1100
+    units = [(a, a + 1, 0) for a in range(1, n)]
+    maxlen2 = named_congruence(n, "maxlen", k=2)
+    assert maxlen2._keys == frozenset(units)
+    picked = ()
+    for d in itertools.islice(enumerate_diagrams(n, maxlen2), 3000):
+        assert d._keys == frozenset(units[i] for i in picked)
+        if not picked:
+            picked = (0,)
+        elif picked[-1] + 1 < len(units):
+            picked += (picked[-1] + 1,)
+        else:
+            picked = picked[:-2] + (picked[-2] + 1,)
+
+
 def test_diagram_is_arcset():
     assert Diagram is ArcSet
     d = diagram_from_permutation(P("46731528"))
@@ -251,24 +300,42 @@ def test_inverse_rejects_exactly_the_incompatible_sets(n):
 
 
 CYCLE = "the left-of relation on components has a cycle"
-OVERLAP = "leftmost components overlap in label range"
 
 
-def rescanned_stages(diagram):
-    """The slow oracle of `deletion_stages`: rescan every remaining pair at each stage.
+def built_components(diagram):
+    """The components of the diagram's arcs, merged as point sets from `Arc` values.
 
-    At every stage it lists the components not right of any remaining
-    one, checks their spans sorted by minimum, and deletes the one with
-    the smallest minimum: O(k³) for k components.  It reads
-    `_components` and `diagram_from_permutation` through the module, so
-    patching them there patches both routes.
+    In the form `diagrams._components` returns: the runs of points written
+    decreasingly, by lowest point, then per run its points plus the left
+    sides of its arcs, and its points plus the right sides, as bitmasks.
     """
-    comps = diagrams._components(diagram)
-    k = len(comps)
-    right_of = [
-        [i != j and comps[i].leftish & comps[j].rightish != 0 for j in range(k)]
-        for i in range(k)
-    ]
+    block = {p: {p} for p in range(1, diagram.n + 1)}
+    for alpha in diagram.arcs:
+        merged = block[alpha.a] | block[alpha.b]
+        for p in merged:
+            block[p] = merged
+    runs = [tuple(sorted(block[p], reverse=True)) for p in range(1, diagram.n + 1) if min(block[p]) == p]
+    index = {p: i for i, run in enumerate(runs) for p in run}
+    leftish = [sum(1 << p for p in run) for run in runs]
+    rightish = leftish[:]
+    for alpha in diagram.arcs:
+        i = index[alpha.a]
+        leftish[i] |= sum(1 << p for p in alpha.left)
+        rightish[i] |= sum(1 << p for p in alpha.right)
+    return runs, leftish, rightish
+
+
+def rescanned(diagram, components):
+    """The slow oracle of the component walk: rescan every remaining pair at each stage.
+
+    At every stage it lists the given components not right of any
+    remaining one and deletes the one with the smallest minimum: O(k³)
+    for k components.  It reads `diagram_from_permutation` through the
+    module, so patching it there patches both routes.
+    """
+    runs, leftish, rightish = components
+    k = len(runs)
+    right_of = [[i != j and leftish[i] & rightish[j] != 0 for j in range(k)] for i in range(k)]
     color = [0] * k
 
     def check_acyclic(i):
@@ -290,17 +357,18 @@ def rescanned_stages(diagram):
         lefts = [i for i in remaining if not any(right_of[i][j] for j in remaining if j != i)]
         if not lefts:
             raise ValueError("no leftmost component among the remainder")
-        spans = sorted((comps[i].lo, comps[i].hi) for i in lefts)
-        for (_, prev_hi), (cur_lo, _) in zip(spans, spans[1:]):
-            if prev_hi >= cur_lo:
-                raise ValueError(OVERLAP)
-        pick = min(lefts, key=lambda i: comps[i].lo)
-        order.append(comps[pick].points_desc)
+        pick = min(lefts, key=lambda i: runs[i][-1])
+        order.append(runs[pick])
         remaining.remove(pick)
     word = tuple(p for run in order for p in run)
     if diagrams.diagram_from_permutation(Permutation._trusted(word)) != diagram:
         raise ValueError(f"{diagram!r} is not a noncrossing arc diagram")
     return order
+
+
+def rescanned_stages(diagram):
+    """The stages of the rescan over the diagram's own components, built apart from the walk."""
+    return rescanned(diagram, built_components(diagram))
 
 
 def outcome(inverse, diagram):
@@ -384,40 +452,46 @@ def test_guards_reached_by_arc_sets(n, body, message):
 
 
 def test_overlap_guard_is_not_reached_by_arc_sets():
-    # A point strictly inside a component's span lies on a side of one of
-    # its arcs, which relates the two components, so two leftmost
-    # components never overlap: the guard checks `_components` alone.
+    # The walk does not check that two leftmost components are apart in
+    # label range: a point strictly inside one component's span lies on a
+    # side of one of its arcs, which relates the two, so they are never
+    # leftmost together.  Checked on every arc set at n=4, valid or not.
     arcs = all_arcs(4)
+    overlapping = 0
     for r in range(len(arcs) + 1):
         for sub in itertools.combinations(arcs, r):
-            assert outcome(deletion_stages, Diagram(4, frozenset(sub))) != OVERLAP
+            runs, leftish, rightish = built_components(Diagram(4, frozenset(sub)))
+            for i, j in itertools.permutations(range(len(runs)), 2):
+                if runs[i][-1] < runs[j][-1] < runs[i][0]:
+                    overlapping += 1
+                    assert leftish[i] & rightish[j] or leftish[j] & rightish[i]
+    assert overlapping
 
 
 def synthetic_components(rng, n):
-    """Components on 1..n with spans and a right-of relation drawn at random.
+    """Components on 1..n with spans and a right-of relation drawn at random, as `built_components` gives them.
 
     Component i is right of j when leftish(i) holds a point of j; each
     rightish holds its own points alone.  The relation mostly follows a
-    random order, and sometimes has a cycle.
+    random order, and sometimes has a cycle.  Spans may overlap.
     """
     labels = [rng.randrange(rng.randint(1, n)) for _ in range(n)]
     blocks = [[p for p in range(1, n + 1) if labels[p - 1] == b] for b in sorted(set(labels))]
     rng.shuffle(blocks)
     own = [sum(1 << p for p in pts) for pts in blocks]
-    comps = []
-    for i, pts in enumerate(blocks):
-        leftish = own[i]
+    leftish = own[:]
+    for i in range(len(blocks)):
         for j in range(len(blocks)):
             if j != i and (j < i or rng.random() < 0.03) and rng.random() < 0.3:
-                leftish |= 1 << rng.choice(blocks[j])
-        comps.append(_Component(tuple(reversed(pts)), pts[0], pts[-1], leftish, own[i]))
-    return comps
+                leftish[i] |= 1 << rng.choice(blocks[j])
+    return [tuple(reversed(pts)) for pts in blocks], leftish, own
 
 
 @pytest.mark.parametrize("n", range(1, 13))
 def test_stages_match_the_rescan_oracle_on_synthetic_components(n, monkeypatch):
-    # Patched components reach the overlap guard, at any stage; the
-    # forward map is patched to agree, so whole stage lists compare too.
+    # The same components go to the rescan and, patched in, to the walk;
+    # they reach the cycle guard, and leftmost ones may overlap in label range.
+    # The forward map is patched to agree, so whole words compare too.
     rng = random.Random(2200 + n)
     reached = set()
     monkeypatch.setattr(diagrams, "diagram_from_permutation", lambda x: d)
@@ -425,20 +499,29 @@ def test_stages_match_the_rescan_oracle_on_synthetic_components(n, monkeypatch):
         comps = synthetic_components(rng, n)
         monkeypatch.setattr(diagrams, "_components", lambda diagram: comps)
         d = Diagram(n, frozenset())
-        got = outcome(deletion_stages, d)
-        assert got == outcome(rescanned_stages, d)
-        reached.add("stages" if isinstance(got, list) else got)
-    assert reached == ({"stages", CYCLE, OVERLAP} if n > 2 else {"stages"})
+        got = outcome(lambda d: permutation_from_diagram(d).entries, d)
+        assert got == outcome(lambda d: tuple(p for run in rescanned(d, comps) for p in run), d)
+        reached.add("word" if isinstance(got, tuple) else got)
+    assert reached == ({"word", CYCLE} if n > 2 else {"word"})
 
 
-def test_overlap_guard_is_reached_by_broken_components(monkeypatch):
-    # {1, 3} and {2} with no relation between them: both are leftmost
-    comps = [_Component((3, 1), 1, 3, 0b1010, 0b1010), _Component((2,), 2, 2, 0b100, 0b100)]
-    monkeypatch.setattr(diagrams, "_components", lambda diagram: comps)
-    for inverse in (deletion_stages, rescanned_stages):
-        with pytest.raises(ValueError) as exc:
-            inverse(Diagram(3, frozenset()))
-        assert str(exc.value) == OVERLAP
+@pytest.mark.parametrize("n", [*range(1, 8), 200, 1000])
+def test_every_stage_is_a_maximal_descending_run(n, delta_image):
+    if n < 8:
+        cases = delta_image(n)
+    else:
+        rng = random.Random(2400 + n)
+        cases = {}
+        for _ in range(3):
+            entries = list(range(1, n + 1))
+            rng.shuffle(entries)
+            x = Permutation(tuple(entries))
+            cases[x] = diagram_from_permutation(x)
+    for x, d in cases.items():
+        stages = deletion_stages(d)
+        assert tuple(v for stage in stages for v in stage) == x.entries
+        assert all(stage and all(u > v for u, v in zip(stage, stage[1:])) for stage in stages)
+        assert all(stage[-1] < after[0] for stage, after in zip(stages, stages[1:]))
 
 
 def test_inverse_of_the_empty_diagram_at_n1000():
