@@ -114,9 +114,10 @@ class ArcSet(_Frozen):
 
     It stores its arcs' (a, b, mask) keys, `_keys`; `.arcs` views them as
     `Arc` values.  Only sizes are checked here, so broken sets can be built
-    for the negative paths.  Counting reads the cached forcing masks and
-    congruences the cached subarc closure, once per set; `validate_diagram`
-    draws the set point by point and reads the masks only to word a refusal.
+    for the negative paths.  Listing and counting read the cached
+    compatibility masks, `_forcing`, and congruences the cached subarc
+    closure, once per set; `validate_diagram` draws the set point by point
+    and reads the masks only to word a refusal.
     """
 
     _fields = ("n", "_keys")  # and a __dict__ for the cached properties
@@ -163,16 +164,17 @@ class ArcSet(_Frozen):
 
     @cached_property
     def _forcing(self) -> tuple[tuple[tuple[int, int, int], ...], list[int]]:
-        """The keys in canonical order, and per key a mask of the other keys it clashes with, bit j for the j-th.
+        """The keys in canonical order, and per key i a mask of the later keys j > i compatible with it, bit j for the j-th.
 
-        Two arcs clash by the rule of `incompatibility_reason`: they share an
-        endpoint of one kind, or each is forced right of the other as
-        `forces_right_of` says.  Rather than testing pairs, the arcs are
-        gathered per point by the side they pass it on, so each arc takes a
-        few `|` and `&` over the points it spans and the cost follows the
-        arcs, not n.  Counting reads the masks for every set; validation and
-        layout draw a set with `diagrams._sweep` and read them only to word
-        a refusal.
+        That is the compatibility graph, each edge once.  Two arcs clash by
+        the rule of `incompatibility_reason`: they share an endpoint of one
+        kind, or each is forced right of the other as `forces_right_of`
+        says.  Rather than testing pairs, the arcs are gathered per point by
+        the side they pass it on, so each arc takes a few `|` and `&` over
+        the points it spans and the cost follows the arcs, not n.  Listing
+        and counting read the masks for every set; validation and layout
+        draw a set with `diagrams._sweep` and read them only to word a
+        refusal.
         """
         keys = tuple(sorted(self._keys, key=_spelled))
         lower: dict[int, int] = defaultdict(int)  # arcs with p as lower endpoint
@@ -186,7 +188,8 @@ class ArcSet(_Frozen):
             for k, p in enumerate(range(a + 1, b)):
                 (on_right if mask >> k & 1 else on_left)[p] |= bit
 
-        clash = []
+        everything = (1 << len(keys)) - 1
+        later = []
         for i, (a, b, mask) in enumerate(keys):
             # an endpoint of alpha, the i-th arc, forces only arcs passing it in their interior
             forced_left_of_alpha = on_right[a] | on_right[b]
@@ -197,13 +200,22 @@ class ArcSet(_Frozen):
                 else:
                     forced_left_of_alpha |= on_right[p] | lower[p] | upper[p]
             both = (forced_left_of_alpha & forced_right_of_alpha) | lower[a] | upper[b]
-            clash.append(both & ~(1 << i))
-        return keys, clash
+            later.append(everything & ~both & -(2 << i))
+        return keys, later
 
 
 def full_arc_set(n: int) -> ArcSet:
     """Every arc on n points; the trivial congruence contracting nothing."""
     return _grown(n, lambda key: True)[0]
+
+
+def _arcs_on(n: int, arcset: ArcSet | None) -> ArcSet:
+    """`arcset`, or every arc on n points when it is None; a set on other than n points is refused."""
+    if arcset is None:
+        return full_arc_set(n)
+    if arcset.n != n:
+        raise ValueError(f"arc set lives on {arcset.n} points, not {n}")
+    return arcset
 
 
 def all_arcs(n: int) -> list[Arc]:

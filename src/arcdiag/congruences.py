@@ -45,18 +45,17 @@ from __future__ import annotations
 
 from typing import Callable, Iterable, Iterator, Sequence
 
-from .arcs import Arc, ArcSet, _grown, _inflections, _right_mask
+from .arcs import Arc, ArcSet, _arcs_on, _grown, _inflections, _right_mask
 from .diagrams import enumerate_diagrams
 from .perms import Permutation, positions
 
 
 def _require_congruence(n: int, arcset: ArcSet) -> Callable[[tuple[int, int, int]], bool]:
     """Raise unless `arcset` lives on n points and is closed under subarcs; return its key rule."""
-    if arcset.n != n:
-        raise ValueError(f"arc set lives on {arcset.n} points, not {n}")
-    if not arcset.subarc_closed:
+    keep = arcset._keys.__contains__  # read first, so None is refused here, not taken as all arcs
+    if not _arcs_on(n, arcset).subarc_closed:
         raise ValueError("arc set is not closed under subarcs")
-    return arcset._keys.__contains__
+    return keep
 
 
 def congruence_from_contracted(n: int, generators: Iterable[Arc]) -> ArcSet:

@@ -16,7 +16,7 @@ from __future__ import annotations
 
 from typing import Callable
 
-from .arcs import Arc, ArcSet, _arc_text, _spelled, _subarc_cover_keys, full_arc_set
+from .arcs import Arc, ArcSet, _arc_text, _arcs_on, _spelled, _subarc_cover_keys, full_arc_set
 from .congruences import _cover_bottoms, _prefix_walk, _require_congruence
 from .diagrams import Diagram, _sweep
 from .perms import Permutation
@@ -38,8 +38,7 @@ def arc_offsets(diagram: Diagram) -> dict[Arc, dict[int, int]]:
     for p, passing, r in _sweep(diagram):
         for i, (a, _, _) in enumerate(passing, -r):
             per[a][p] = i if i < 0 else i + 1
-    # no two arcs share a lower endpoint, so sorting the keys as tuples gives the canonical order
-    return {Arc(diagram.n, *key): per[key[0]] for key in sorted(diagram._keys)}
+    return {alpha: per[alpha.a] for alpha in diagram.sorted_arcs()}
 
 
 def _layout(diagram: Diagram) -> tuple[dict[Arc, dict[int, int]], int, int]:
@@ -161,7 +160,7 @@ def export_dot(kind: str, n: int, arcset: ArcSet | None = None) -> str:
     if kind == "weak":
         # every descent of a class bottom y is uncontracted, and the classes
         # that y's class covers are those of y's lower covers, all distinct
-        keep = _require_congruence(n, full_arc_set(n) if arcset is None else arcset)
+        keep = _require_congruence(n, _arcs_on(n, arcset))
         above: dict[tuple[int, ...], list] = {y: [] for y in _prefix_walk(n, keep)}
         for y in above:
             for x in _cover_bottoms(y, keep):

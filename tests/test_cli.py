@@ -396,7 +396,7 @@ def test_a_malformed_body_reports_its_parse_error_before_the_size(capsys):
 @pytest.mark.parametrize("mode", ["--ascii", "--svg"])
 def test_render_evaluates_the_forcing_rule_once(capsys, monkeypatch, forcing_evaluations, mode, stdin):
     # a diagram is parsed and drawn by the sweep alone; a refused set evaluates
-    # the forcing masks once, to word its first clashing pair
+    # the forcing masks once, to word its first incompatible pair
     refused = "2-5:LR;3-7:RLL"
     for body, evaluated in ((FIG_BODY, []), (refused, [refused])):
         argv = ["render", mode] if stdin else ["render", mode, body, "--n", "8"]

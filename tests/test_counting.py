@@ -29,8 +29,9 @@ from arcdiag import (
     verify_report,
 )
 from arcdiag import Permutation, counting, diagrams
+from arcdiag.arcs import _arcs_on
 from arcdiag.counting import ALTERNATING_EVEN, _diagram_key
-from arcdiag.diagrams import _compat_graph, count_diagrams
+from arcdiag.diagrams import count_diagrams
 from arcdiag.textforms import parse_congruence_spec
 
 
@@ -112,7 +113,7 @@ def test_count_by_arcs_tamari():
 
 
 def test_counting_one_set_again_evaluates_the_forcing_rule_once(forcing_evaluations):
-    # the set caches its canonical order and clash masks, so a second count reuses them
+    # the set caches its canonical order and compatibility masks, so a second count reuses them
     u = named_congruence(7, "baxter")
     first, second = count_by_arcs(7, u), count_by_arcs(7, u)
     assert first == second and first.total == baxter_number(7)
@@ -202,7 +203,7 @@ def summed(n, arcset):
     on S and packed as in `count_diagrams`; returns the row by arc count
     and the sets the memo holds.
     """
-    arcs, later = _compat_graph(n, arcset)
+    arcs, later = _arcs_on(n, arcset)._forcing
     width = math.factorial(n).bit_length()
     memo = {}
 
@@ -284,7 +285,7 @@ def test_suffix_stop_memoizes_the_summed_states(monkeypatch, n, spec):
 
 @pytest.mark.parametrize("n", range(1, 9))
 def test_mask_graph_matches_pairwise_compatible(n):
-    keys, later = _compat_graph(n, None)
+    keys, later = _arcs_on(n, None)._forcing
     arcs = [Arc(n, *key) for key in keys]
     assert arcs == all_arcs(n)
     for i, j in itertools.product(range(len(arcs)), repeat=2):
@@ -339,6 +340,6 @@ def test_counts_past_listing_sizes():
 
 def test_counting_a_given_set_builds_no_other_arcs(monkeypatch):
     u = named_congruence(6, "tamari")
-    monkeypatch.setattr("arcdiag.diagrams.full_arc_set", lambda n: pytest.fail("all arcs rebuilt"))
+    monkeypatch.setattr("arcdiag.arcs.full_arc_set", lambda n: pytest.fail("all arcs rebuilt"))
     assert count_by_arcs(6, u).total == catalan(6)
     assert sum(1 for _ in enumerate_diagrams(6, u)) == catalan(6)

@@ -16,20 +16,27 @@ from arcdiag import (
     canonical_joinands,
     classify_diagram,
     compatible,
+    complex_faces,
     congruence_from_contracted,
+    count_by_arcs,
     count_diagrams,
     deletion_stages,
     diagram_from_permutation,
     enumerate_diagrams,
+    export_dot,
     incompatibility_reason,
     make_arc,
+    minimal_contracted_generators,
     named_congruence,
     parse_diagram,
     permutation_from_diagram,
+    project_down,
+    uncontracted_by_avoidance,
+    uncontracted_permutations,
     validate_diagram,
 )
 from arcdiag import diagrams
-from arcdiag.diagrams import _compat_graph
+from arcdiag.arcs import _arcs_on
 from arcdiag.textforms import parse_arc
 
 perms = lambda n: st.permutations(range(1, n + 1)).map(lambda e: Permutation(tuple(e)))
@@ -117,10 +124,15 @@ def test_validation_matches_the_pairwise_rule(n):
 
 
 def test_a_refusal_the_masks_cannot_word_still_raises(monkeypatch):
-    # should the sweep and the clash masks ever disagree, the set is refused, not accepted
+    # should the sweep and the compatibility masks ever disagree, the set is refused, not accepted
     prop = ArcSet.__dict__["_forcing"]
     evaluate = prop.func
-    monkeypatch.setattr(prop, "func", lambda arcset: (evaluate(arcset)[0], [0] * len(arcset._keys)))
+
+    def all_compatible(arcset):
+        keys = evaluate(arcset)[0]
+        return keys, [(1 << len(keys)) - (2 << i) for i in range(len(keys))]
+
+    monkeypatch.setattr(prop, "func", all_compatible)
     crossing = [make_arc(8, 2, 5, {4}), make_arc(8, 3, 7, {4})]
     with pytest.raises(ValueError, match=r"^ArcSet\(8, '2-5:LR;3-7:RLL'\) is not a noncrossing arc diagram$"):
         validate_diagram(8, crossing)
@@ -189,7 +201,7 @@ def test_enumeration_stays_inside_arcset():
 
 def recursive_listing(n, arcset=None):
     """The listing as one nested call per chosen arc: the order oracle of `enumerate_diagrams`."""
-    keys, later = _compat_graph(n, arcset)
+    keys, later = _arcs_on(n, arcset)._forcing
     chosen = []
 
     def walk(allowed):
@@ -241,11 +253,31 @@ def test_diagram_is_arcset():
     assert repr(d) == "ArcSet(8, '1-3:R;2-5:LL;3-7:LRL')"
 
 
-@pytest.mark.parametrize("walk", [enumerate_diagrams, count_diagrams])
+def export_weak(n, arcset):
+    return export_dot("weak", n, arcset)
+
+
+def project_identity(n, arcset):
+    return project_down(Permutation(tuple(range(1, n + 1))), arcset)
+
+
+TAKE_NONE = [enumerate_diagrams, count_diagrams, export_weak]
+REFUSE_NONE = [count_by_arcs, complex_faces, uncontracted_permutations, uncontracted_by_avoidance,
+               minimal_contracted_generators, project_identity]
+
+
+@pytest.mark.parametrize("walk", TAKE_NONE + REFUSE_NONE)
 def test_enumeration_and_count_reject_arcset_on_wrong_n(walk):
+    # every (n, arcset) entry point refuses a set on other points with one message
     arcset = ArcSet(4, frozenset(all_arcs(4)))
-    with pytest.raises(ValueError, match="lives on 4 points, not 5"):
+    with pytest.raises(ValueError, match=r"^arc set lives on 4 points, not 5$"):
         list(walk(5, arcset))
+
+
+@pytest.mark.parametrize("walk", REFUSE_NONE)
+def test_congruence_entry_points_refuse_none(walk):
+    with pytest.raises(AttributeError):
+        list(walk(4, None))
 
 
 def test_delta_of_inverse_is_identity_n7():

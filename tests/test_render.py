@@ -19,6 +19,7 @@ from arcdiag import (
     diagram_from_permutation,
     export_dot,
     forces_right_of,
+    full_arc_set,
     inversions,
     is_subarc,
     all_arcs,
@@ -332,6 +333,11 @@ def scan_sn_weak_dot(n):
 @pytest.mark.parametrize("n", range(0, 8))
 def test_export_weak_matches_sn_scan(n):
     assert export_dot("weak", n) == scan_sn_weak_dot(n)
+
+
+@pytest.mark.parametrize("n", range(0, 6))
+def test_export_weak_without_a_set_is_the_full_set(n):
+    assert export_dot("weak", n) == export_dot("weak", n, full_arc_set(n))
 
 
 def test_export_weak_n3():
