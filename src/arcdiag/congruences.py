@@ -17,9 +17,9 @@ once per key whether a subarc-minimal contracted arc lies below the arc,
 that is, whether its forbidden descent pattern (see `has_pattern`) occurs.
 The last few values are placed through a second memo: their kept orders
 depend only on the last placed value and the unplaced set, so each such
-pair's orders are built once and appended to every prefix ending so.
-`_prefix_walk` and `_cover_bottoms` yield plain words (tuples); a
-`Permutation` is built only where one is returned.
+pair's orders are built once and shared by every prefix ending so.
+`_prefix_walk` yields each prefix once with its shared orders, and
+`_cover_bottoms` plain words; a `Permutation` is built only where one is returned.
 
 A congruence contracts the weak-order cover that swaps a descent of x
 exactly when it contracts that descent's arc, the cover's label.  Walks
@@ -120,8 +120,9 @@ def _kept_orders(tails: dict[tuple[int, tuple[int, ...]], list[tuple[int, ...]]]
     return tails[key]
 
 
-def _prefix_walk(n: int, keep: Callable[[tuple[int, int, int]], bool]) -> Iterator[tuple[int, ...]]:
-    """The words of the permutations of 1..n in lexicographic order, pruned at descents.
+def _prefix_walk(n: int, keep: Callable[[tuple[int, int, int]], bool]
+                 ) -> Iterator[tuple[tuple[int, ...], list[tuple[int, ...]]]]:
+    """The words of S_n in lexicographic order, pruned at descents; a batch (word, tails) holds `word + t` per t.
 
     Placing a after b > a forms a descent whose interior values in `used`
     (a bit per placed value) sit left of it, the rest right; unless
@@ -132,10 +133,10 @@ def _prefix_walk(n: int, keep: Callable[[tuple[int, int, int]], bool]) -> Iterat
     Once at most `_TAIL` values are unplaced, the kept orders of `rest`
     depend only on the last placed value b and on `rest` (`used` is the
     rest's complement), so `_kept_orders` builds them once per (b, rest)
-    and they are appended to every prefix that ends the same way.  The
-    memo holds at most n * C(n, k) * k! suffixes of each length
-    k <= `_TAIL` (b lies outside `rest`), whatever the output size, and
-    goes with the generator.
+    and the one list comes with every prefix that ends the same way; the
+    caller must not change it.  The memo holds at most n * C(n, k) * k!
+    suffixes of each length k <= `_TAIL` (b lies outside `rest`),
+    whatever the output size, and goes with the generator.
     """
     tails: dict[tuple[int, tuple[int, ...]], list[tuple[int, ...]]] = {}
     stack = [((), tuple(range(1, n + 1)), 0)]
@@ -143,8 +144,7 @@ def _prefix_walk(n: int, keep: Callable[[tuple[int, int, int]], bool]) -> Iterat
         word, rest, used = stack.pop()
         b = word[-1] if word else 0  # the first value forms no descent
         if len(rest) <= _TAIL:
-            for t in _kept_orders(tails, keep, b, rest, used):
-                yield word + t
+            yield word, _kept_orders(tails, keep, b, rest, used)
             continue
         for j in range(len(rest) - 1, -1, -1):
             v = rest[j]
@@ -160,7 +160,8 @@ def uncontracted_permutations(n: int, arcset: ArcSet) -> Iterator[Permutation]:
     >>> [str(x) for x in uncontracted_permutations(3, U)]
     ['123', '132', '213', '231', '321']
     """
-    yield from map(Permutation._trusted, _prefix_walk(n, _require_congruence(n, arcset)))
+    for word, tails in _prefix_walk(n, _require_congruence(n, arcset)):
+        yield from map(Permutation._trusted, map(word.__add__, tails))
 
 
 class _PatternMemo(dict):
@@ -187,7 +188,8 @@ def uncontracted_by_avoidance(n: int, arcset: ArcSet) -> Iterator[Permutation]:
     The patterns are the grower's failure keys, unsorted: `minimal_contracted_generators` as keys.
     """
     keep = _PatternMemo(_grown(n, _require_congruence(n, arcset))[1]).__getitem__
-    yield from map(Permutation._trusted, _prefix_walk(n, keep))
+    for word, tails in _prefix_walk(n, keep):
+        yield from map(Permutation._trusted, map(word.__add__, tails))
 
 
 def _before_masks(e: Sequence[int]) -> list[int]:

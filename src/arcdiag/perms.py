@@ -65,10 +65,11 @@ class Permutation(_Frozen):
     >>> str(Permutation((2, 5, 3, 1, 4)))
     '25314'
 
-    Construction checks the word.  `_trusted` skips the check; only code
-    that builds a tuple of 1..n as a permutation by construction may
-    call it (the listings, the walks, `_decode`, the cover functions and
-    the inverse map), never on parsed or user-given words.
+    Construction checks the word.  `_trusted` skips the check, building
+    through `object.__new__` and the `entries` slot's own setter, both
+    bound once; only code that builds a tuple of 1..n as a permutation by
+    construction may call it (the listings, the walks, `_decode`, the cover
+    functions and the inverse map), never on parsed or user-given words.
     """
 
     __slots__ = _fields = ("entries",)
@@ -82,8 +83,8 @@ class Permutation(_Frozen):
     @classmethod
     def _trusted(cls, entries: tuple[int, ...]) -> Permutation:
         """The permutation with these entries, a tuple known to be a permutation of 1..n."""
-        x = object.__new__(cls)
-        object.__setattr__(x, "entries", entries)
+        x = _new(cls)
+        _set_entries(x, entries)
         return x
 
     def __eq__(self, other: object) -> bool:  # the base's rule, reading the one field directly
@@ -103,6 +104,10 @@ class Permutation(_Frozen):
 
     def __repr__(self) -> str:
         return f"Permutation({str(self)!r})"
+
+
+_new = object.__new__
+_set_entries = Permutation.entries.__set__  # the slot's own setter, past the frozen `__setattr__`
 
 
 class InversionSet(_Frozen):

@@ -161,7 +161,7 @@ def export_dot(kind: str, n: int, arcset: ArcSet | None = None) -> str:
         # every descent of a class bottom y is uncontracted, and the classes
         # that y's class covers are those of y's lower covers, all distinct
         keep = _require_congruence(n, _arcs_on(n, arcset))
-        above: dict[tuple[int, ...], list] = {y: [] for y in _prefix_walk(n, keep)}
+        above: dict[tuple[int, ...], list] = {word + t: [] for word, tails in _prefix_walk(n, keep) for t in tails}
         for y in above:
             for x in _cover_bottoms(y, keep):
                 above[x].append(y)

@@ -23,7 +23,7 @@ from arcdiag import (
     make_arc,
     subarc_covers,
 )
-from arcdiag.arcs import _spelled, side_mask, side_string
+from arcdiag.arcs import _shown, _spelled, side_mask, side_string
 
 
 def arcs_st(n):
@@ -275,3 +275,10 @@ def test_membership_needs_an_arc_on_the_same_n():
     assert Arc(5, 1, 4, 2) not in arcset
     # the key alone, or anything else that is not an arc, is not a member either
     assert (1, 4, 1) not in arcset and (2, 3, 0) not in arcset and "2-3" not in arcset
+
+
+def test_shown_cuts_the_middle_past_40_characters():
+    assert _shown("7" * 40) == "7" * 40
+    long = "".join(str(i % 10) for i in range(41))
+    assert _shown(long) == long[:20] + "..." + long[-10:] and len(_shown(long)) == 33
+    assert _shown(10 ** 40) == "1" + "0" * 19 + "..." + "0" * 10

@@ -66,6 +66,14 @@ def test_header_and_conflicting_n_exit_2(capsys, monkeypatch):
     assert code == 0 and out == "213\n"
 
 
+def test_zero_points_are_refused_before_reading_the_body(capsys, monkeypatch):
+    # an empty body on 0 points parses, so only the size check refuses it
+    want = (2, "", "error: n must be at least 1, got 0\n")
+    assert run(capsys, ["inverse", "", "--n", "0"]) == want
+    assert run(capsys, ["render", "--ascii", "", "--n", "0"]) == want
+    assert run(capsys, ["inverse"], stdin="n=0\n", monkeypatch=monkeypatch) == want
+
+
 def test_bare_body_on_stdin_takes_trailing_newlines(capsys, monkeypatch):
     code, out, err = run(capsys, ["inverse", "--n", "3"], stdin="1-2\n", monkeypatch=monkeypatch)
     assert (code, out, err) == (0, "213\n", "")

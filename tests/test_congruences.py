@@ -231,7 +231,8 @@ def test_tails_memo_needs_the_last_placed_value(monkeypatch):
     # ending in different values, and lists words with contracted descents
     u = named_congruence(6, "baxter")  # Tamari listings happen to survive the mutation
     right = list(uncontracted_permutations(6, u))
-    assert list(arcdiag.congruences._prefix_walk(6, u._keys.__contains__)) == [x.entries for x in right]
+    walk = arcdiag.congruences._prefix_walk(6, u._keys.__contains__)
+    assert [w + t for w, ts in walk for t in ts] == [x.entries for x in right]
     source = inspect.getsource(arcdiag.congruences._kept_orders)
     assert source.count("key = (b, rest)") == 1
     namespace = dict(vars(arcdiag.congruences))

@@ -1,4 +1,5 @@
 import itertools
+import pickle
 import random
 
 import numpy as np
@@ -360,6 +361,21 @@ def _assert_checked_equal(x):
     assert type(x.entries) is tuple
     checked = Permutation(x.entries)
     assert x == checked and hash(x) == hash(checked)
+
+
+def test_trusted_construction_matches_checked_construction():
+    word12 = list(range(1, 13))
+    random.Random(1200).shuffle(word12)
+    for w in [*itertools.permutations(range(1, 5)), tuple(word12)]:
+        x, checked = Permutation._trusted(w), Permutation(w)
+        assert type(x) is Permutation and x == checked and hash(x) == hash(checked)
+        assert (str(x), repr(x)) == (str(checked), repr(checked))
+        assert pickle.loads(pickle.dumps(x)) == checked and x.n == len(w)
+        with pytest.raises(AttributeError):
+            x.entries = w
+        with pytest.raises(AttributeError):
+            del x.entries
+        assert x.entries is w
 
 
 def _built_from(x, sets):
